@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file synthetic_event.h
-/// N-Caltech101 stand-in (DESIGN.md §3): event-camera clips generated by
-/// moving a class-specific shape along a saccade-like trajectory. Every
+/// N-Caltech101 stand-in (docs/ARCHITECTURE.md "Data pipeline"): event-camera
+/// clips generated by moving a class-specific shape along a saccade-like trajectory. Every
 /// timestep yields a DISTINCT 2-channel frame (ON / OFF polarities computed
 /// from the intensity change between consecutive shape positions) — the
 /// dynamic-dataset property behind the paper's HTT accuracy analysis.

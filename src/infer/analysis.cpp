@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "tensor/im2col.h"
+#include "util/thread_pool.h"
 
 namespace ttsnn::infer {
 
@@ -104,6 +105,21 @@ Shape conv_out_shape(Shape& in, const Conv2d::Options& o, const Op& op,
     out[d] = extent;
   }
   return out;
+}
+
+/// im2col column floats of one conv lowering over `s` (0 when pointwise or
+/// while the spatial extents are still symbolic).
+int64_t col_floats(const Shape& s, const Conv2d::Options& o) {
+  const int64_t h = s[s.size() - 2];
+  const int64_t w = s[s.size() - 1];
+  if (!known(h) || !known(w)) return 0;
+  const ConvGeometry g = make_geometry(h, w, o);
+  return g.pointwise() ? 0 : g.col_rows() * g.col_cols();
+}
+
+/// numel of one sample's [C, H, W] plane; kDimUnknown if any is unknown.
+int64_t sample_numel(const Shape& s) {
+  return sym_numel(Shape(s.end() - 3, s.end()));
 }
 
 /// Per-kind field-group completeness: an op must carry every tensor and
@@ -295,7 +311,9 @@ void split_counts(const TTConv2d::Options& tt, int64_t t_steps, const Op& op,
 struct OpFootprint {
   Shape out;
   int64_t scratch = 0;  ///< aligned sum of the op's internal temporaries
-  int64_t col = 0;      ///< largest im2col column matrix among its convs
+  /// Largest shared im2col column matrix among its convs (0 for kTTExact,
+  /// whose lane slots carry their own column blocks inside `scratch`).
+  int64_t col = 0;
 };
 
 OpFootprint op_footprint(const Op& op, size_t index, Shape& in, Shape* in2) {
@@ -305,11 +323,7 @@ OpFootprint op_footprint(const Op& op, size_t index, Shape& in, Shape* in2) {
     if (known(n)) f.scratch += align_up(n);
   };
   auto see_col = [&f](const Shape& s, const Conv2d::Options& o) {
-    const int64_t h = s[s.size() - 2];
-    const int64_t w = s[s.size() - 1];
-    if (!known(h) || !known(w)) return;
-    const ConvGeometry g = make_geometry(h, w, o);
-    if (!g.pointwise()) f.col = std::max(f.col, g.col_rows() * g.col_cols());
+    f.col = std::max(f.col, col_floats(s, o));
   };
   // Quantized-plane scratch of one conv branch, mirroring the executor's
   // ctx.raw calls in run_conv: bf16 dequantizes the whole kernel into an f32
@@ -337,32 +351,34 @@ OpFootprint op_footprint(const Op& op, size_t index, Shape& in, Shape* in2) {
       break;
 
     case Op::Kind::kTTExact: {
-      Shape o1 = conv_out_shape(in, op.tt_w1_opts, op, index, "TT core w1");
-      see_col(in, op.tt_w1_opts);
+      // Shapes are transferred over the whole tensor; the scratch is the
+      // executor's lane slots (run_tt_exact), each holding ONE sample's
+      // chain intermediates plus that lane's own im2col block, in that order.
+      std::vector<Shape> lane_temps;
+      int64_t lane_col = 0;
+      auto core = [&](Shape& s, const Conv2d::Options& o, const char* what) {
+        Shape y = conv_out_shape(s, o, op, index, what);
+        lane_col = std::max(lane_col, col_floats(s, o));
+        return y;
+      };
+      Shape o1 = core(in, op.tt_w1_opts, "TT core w1");
+      lane_temps.push_back(o1);
       switch (op.tt.mode) {
         case TTMode::kSTT: {
-          Shape z2 = conv_out_shape(o1, op.tt_w2_opts, op, index, "TT core w2");
-          see_col(o1, op.tt_w2_opts);
-          Shape z3 = conv_out_shape(z2, op.tt_w3_opts, op, index, "TT core w3");
-          see_col(z2, op.tt_w3_opts);
-          f.out = conv_out_shape(z3, op.tt_w4_opts, op, index, "TT core w4");
-          see_col(z3, op.tt_w4_opts);
-          add_temp(o1);
-          add_temp(z2);
-          add_temp(z3);
+          Shape z2 = core(o1, op.tt_w2_opts, "TT core w2");
+          Shape z3 = core(z2, op.tt_w3_opts, "TT core w3");
+          f.out = core(z3, op.tt_w4_opts, "TT core w4");
+          lane_temps.push_back(z2);
+          lane_temps.push_back(z3);
           break;
         }
         case TTMode::kPTT: {
-          Shape a = conv_out_shape(o1, op.tt_w2_opts, op, index, "TT core w2");
-          see_col(o1, op.tt_w2_opts);
-          Shape b = conv_out_shape(o1, op.tt_w3_opts, op, index, "TT core w3");
-          see_col(o1, op.tt_w3_opts);
+          Shape a = core(o1, op.tt_w2_opts, "TT core w2");
+          Shape b = core(o1, op.tt_w3_opts, "TT core w3");
           unify_shape(a, b, op, index, "PTT branch outputs");
-          f.out = conv_out_shape(a, op.tt_w4_opts, op, index, "TT core w4");
-          see_col(a, op.tt_w4_opts);
-          add_temp(o1);
-          add_temp(a);
-          add_temp(b);
+          f.out = core(a, op.tt_w4_opts, "TT core w4");
+          lane_temps.push_back(a);
+          lane_temps.push_back(b);
           break;
         }
         case TTMode::kHTT: {
@@ -370,38 +386,26 @@ OpFootprint op_footprint(const Op& op, size_t index, Shape& in, Shape* in2) {
                       "infer verify: " << op_where(op, index)
                                        << ": HTT expects [T, N, C, H, W], got "
                                        << shape_str(in));
-          add_temp(o1);
           const int64_t t = o1[0];
           int64_t n_full = kDimUnknown;
           int64_t n_half = kDimUnknown;
           if (known(t)) split_counts(op.tt, t, op, index, n_full, n_half);
-          Shape full_x = o1;
-          full_x[0] = n_full;
-          Shape half_x = o1;
-          half_x[0] = n_half;
           Shape y_full;
           Shape y_half;
           if (!known(t) || n_full > 0) {
-            add_temp(full_x);
-            Shape a =
-                conv_out_shape(full_x, op.tt_w2_opts, op, index, "TT core w2");
-            see_col(full_x, op.tt_w2_opts);
-            Shape b =
-                conv_out_shape(full_x, op.tt_w3_opts, op, index, "TT core w3");
-            see_col(full_x, op.tt_w3_opts);
+            Shape full_x = o1;
+            full_x[0] = n_full;
+            Shape a = core(full_x, op.tt_w2_opts, "TT core w2");
+            Shape b = core(full_x, op.tt_w3_opts, "TT core w3");
             unify_shape(a, b, op, index, "PTT branch outputs");
-            y_full = conv_out_shape(a, op.tt_w4_opts, op, index, "TT core w4");
-            see_col(a, op.tt_w4_opts);
-            add_temp(a);
-            add_temp(b);
-            add_temp(y_full);
+            y_full = core(a, op.tt_w4_opts, "TT core w4");
+            lane_temps.push_back(a);
+            lane_temps.push_back(b);
           }
           if (!known(t) || n_half > 0) {
-            add_temp(half_x);
-            y_half = conv_out_shape(half_x, op.tt_w4_half_opts, op, index,
-                                    "TT half-step core w4");
-            see_col(half_x, op.tt_w4_half_opts);
-            add_temp(y_half);
+            Shape half_x = o1;
+            half_x[0] = n_half;
+            y_half = core(half_x, op.tt_w4_half_opts, "TT half-step core w4");
           }
           if (!y_full.empty() && !y_half.empty()) {
             Shape a = y_full;
@@ -418,6 +422,18 @@ OpFootprint op_footprint(const Op& op, size_t index, Shape& in, Shape* in2) {
           f.out[0] = in[0];
           break;
         }
+      }
+      int64_t samples = 1;
+      for (size_t d = 0; d + 3 < in.size(); ++d) {
+        samples = known(samples) && known(in[d]) ? samples * in[d] : kDimUnknown;
+      }
+      int64_t slot = align_up(lane_col);
+      for (const Shape& s : lane_temps) {
+        const int64_t n = sample_numel(s);
+        slot = known(slot) && known(n) ? slot + align_up(n) : kDimUnknown;
+      }
+      if (known(samples) && known(slot)) {
+        f.scratch = tt_exact_lanes(samples).slots * slot;
       }
       break;
     }
@@ -781,6 +797,13 @@ PlanAnalysis analyze_plan(const std::vector<Op>& ops, int num_regs,
         (r == result_reg || last < 0) ? INT_MAX : last;
   }
   return a;
+}
+
+TTExactLanes tt_exact_lanes(int64_t samples) {
+  const int64_t lanes = ThreadPool::instance().workers() + 1;
+  if (samples < 2 * lanes) return {.grain = std::max<int64_t>(samples, 1)};
+  const int64_t grain = (samples + lanes - 1) / lanes;
+  return {.grain = grain, .slots = (samples + grain - 1) / grain};
 }
 
 bool fusion_candidate(const PlanAnalysis& analysis, int reg) {

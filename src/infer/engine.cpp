@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <sstream>
 
 #include "infer/analysis.h"
@@ -11,6 +12,7 @@
 #include "tensor/ops.h"
 #include "tensor/simd.h"
 #include "util/failpoint.h"
+#include "util/thread_pool.h"
 
 namespace ttsnn::infer {
 
@@ -26,11 +28,12 @@ namespace {
 struct ExecCtx {
   /// The op's output tensor (register `out`).
   virtual Tensor out(const Shape& s) = 0;
-  /// An op-internal temporary (TT pipeline stages, HTT gather planes).
+  /// An op-internal temporary (merged-HTT gather planes and split outputs).
   virtual Tensor temp(const Shape& s) = 0;
   /// The im2col column matrix, reused by every conv lowering in the plan.
   virtual float* col(int64_t elems) = 0;
-  /// Raw float scratch (the LIF membrane plane).
+  /// Raw float scratch (the LIF membrane plane, the exact TT op's lane
+  /// slots, quantized-weight buffers).
   virtual float* raw(int64_t elems) = 0;
 
   /// Compiled per-op record (set on the planned path): pre-resolved HTT
@@ -70,9 +73,10 @@ struct LegacyCtx final : ExecCtx {
 /// Planned executor memory for ONE op: the output is a pre-computed
 /// destination (workspace view, in-place alias of the input, or the owning
 /// result tensor), temps/raw bump through the plan's scratch region, col is
-/// the plan's fixed column block. The bump cursor is checked against the
-/// scratch budget op_scratch_floats() computed — any drift between the
-/// analysis enumeration and the kernels is a hard error, not a corruption.
+/// the plan's fixed column block. The bump cursor is checked against this
+/// op's own budget (OpExec::scratch_floats, from op_scratch_floats()) — any
+/// drift between the analysis enumeration and the kernels is a hard error,
+/// not a corruption.
 struct PlannedCtx final : ExecCtx {
   const MemoryPlan* plan = nullptr;
   Tensor* ws = nullptr;
@@ -107,10 +111,25 @@ struct PlannedCtx final : ExecCtx {
  private:
   void bump(int64_t elems) {
     cursor += plan_align_up(elems);
-    TTSNN_CHECK(cursor <= plan->scratch_floats,
-                "infer: planned scratch overrun at op " << op_index);
+    TTSNN_CHECK(cursor <= exec->scratch_floats,
+                "infer: planned scratch overrun at op " << op_index << ": "
+                    << cursor << " floats carved, " << exec->scratch_floats
+                    << " planned");
   }
 };
+
+ConvGeometry conv_geometry(const Conv2d::Options& opts, int64_t in_h,
+                           int64_t in_w) {
+  return ConvGeometry{.in_channels = opts.in_channels,
+                      .in_h = in_h,
+                      .in_w = in_w,
+                      .kernel_h = opts.kernel_h,
+                      .kernel_w = opts.kernel_w,
+                      .stride_h = opts.resolved_stride_h(),
+                      .stride_w = opts.resolved_stride_w(),
+                      .pad_h = opts.resolved_pad_h(),
+                      .pad_w = opts.resolved_pad_w()};
+}
 
 /// Dense convolution over a folded-batch NCHW tensor. Mirrors
 /// conv2d_forward() exactly (same im2col lowering, same gemm calls in the
@@ -130,15 +149,7 @@ Tensor run_conv(const Tensor& x, const Tensor& weight, const WeightPlane& plane,
                   << opts.in_channels << " in " << shape_str(x.shape()));
   const int64_t chw = x.size(-3) * x.size(-2) * x.size(-1);
   const int64_t batch = x.numel() / chw;
-  ConvGeometry g{.in_channels = opts.in_channels,
-                 .in_h = x.size(-2),
-                 .in_w = x.size(-1),
-                 .kernel_h = opts.kernel_h,
-                 .kernel_w = opts.kernel_w,
-                 .stride_h = opts.resolved_stride_h(),
-                 .stride_w = opts.resolved_stride_w(),
-                 .pad_h = opts.resolved_pad_h(),
-                 .pad_w = opts.resolved_pad_w()};
+  const ConvGeometry g = conv_geometry(opts, x.size(-2), x.size(-1));
   const int64_t oh = g.out_h();
   const int64_t ow = g.out_w();
   TTSNN_CHECK(oh > 0 && ow > 0, "infer conv: output would be empty for input "
@@ -239,50 +250,141 @@ Tensor gather_steps_ctx(const Tensor& x, const std::vector<int64_t>& idx,
   return out;
 }
 
-/// Unmerged TT pipeline — reproduces eval-mode TTConv2d::forward bit-for-bit
-/// (the PTT branches run sequentially here; the training path computes them
-/// into separate buffers before the same add, so the bits agree).
-Tensor run_tt_exact(const Op& op, const Tensor& x, ExecCtx& ctx) {
-  const Tensor none;
-  const WeightPlane f32;  // exact-mode TT cores always stay f32
-  Tensor o1 = run_conv(x, op.w1, f32, op.tt_w1_opts, none, ctx, false);
-  auto ptt_path = [&](const Tensor& in, bool is_out) {
-    Tensor a = run_conv(in, op.w2, f32, op.tt_w2_opts, none, ctx, false);
-    Tensor b = run_conv(in, op.w3, f32, op.tt_w3_opts, none, ctx, false);
-    a.add_(b);  // in place: a is this call's own conv output
-    return run_conv(a, op.w4, f32, op.tt_w4_opts, none, ctx, is_out);
-  };
-  switch (op.tt.mode) {
-    case TTMode::kSTT: {
-      Tensor z2 = run_conv(o1, op.w2, f32, op.tt_w2_opts, none, ctx, false);
-      Tensor z3 = run_conv(z2, op.w3, f32, op.tt_w3_opts, none, ctx, false);
-      return run_conv(z3, op.w4, f32, op.tt_w4_opts, none, ctx, true);
-    }
-    case TTMode::kPTT:
-      return ptt_path(o1, true);
-    case TTMode::kHTT: {
-      TTSNN_CHECK(o1.dim() == 5, "infer HTT expects [T, N, C, H, W]");
-      ScheduleSplit split(op, o1.size(0), ctx);
-      Tensor full_x = gather_steps_ctx(o1, *split.full, ctx);
-      Tensor half_x = gather_steps_ctx(o1, *split.half, ctx);
-      Tensor y_full, y_half;
-      if (full_x.defined()) y_full = ptt_path(full_x, false);
-      if (half_x.defined()) {
-        y_half =
-            run_conv(half_x, op.w4, f32, op.tt_w4_half_opts, none, ctx, false);
-      }
-      TTSNN_CHECK(y_full.defined() || y_half.defined(),
-                  "infer HTT: empty schedule");
-      Shape out_shape = (y_full.defined() ? y_full : y_half).shape();
-      out_shape[0] = o1.size(0);
-      Tensor out = ctx.out(out_shape);  // scatter covers every step
-      if (y_full.defined()) scatter_steps(out, y_full, *split.full);
-      if (y_half.defined()) scatter_steps(out, y_half, *split.half);
-      return out;
-    }
+/// One TT core bound to a per-sample input extent: the geometry run_conv
+/// derives for it plus the f32 weight (exact-mode cores never quantize).
+struct TTCore {
+  ConvGeometry g;
+  int64_t out_channels = 0;
+  const float* w = nullptr;
+
+  TTCore() = default;
+  TTCore(const Tensor& weight, const Conv2d::Options& opts, int64_t in_h,
+         int64_t in_w)
+      : g(conv_geometry(opts, in_h, in_w)),
+        out_channels(opts.out_channels),
+        w(weight.data()) {
+    TTSNN_CHECK(g.out_h() > 0 && g.out_w() > 0,
+                "infer TT: core output would be empty for a "
+                    << in_h << "x" << in_w << " input");
   }
-  TTSNN_CHECK(false, "unreachable");
-  return {};
+  int64_t out_floats() const { return out_channels * g.out_h() * g.out_w(); }
+  int64_t col_floats() const {
+    return g.pointwise() ? 0 : g.col_rows() * g.col_cols();
+  }
+  bool same_output(const TTCore& o) const {
+    return out_channels == o.out_channels && g.out_h() == o.g.out_h() &&
+           g.out_w() == o.g.out_w();
+  }
+  /// run_conv's f32 path for one folded-batch index: the same im2col and the
+  /// same gemm arguments, so the bits agree.
+  void run(const float* in, float* col, float* out) const {
+    const float* lowered = in;
+    if (!g.pointwise()) {
+      im2col(in, g, col);
+      lowered = col;
+    }
+    gemm(false, false, out_channels, g.col_cols(), g.col_rows(), 1.0F, w,
+         lowered, 0.0F, out);
+  }
+};
+
+/// Unmerged TT pipeline, one (t, n) sample at a time. Each sample runs its
+/// whole core chain as one unit — STT w1 → w2 → w3 → w4, PTT w1 → (w2, w3)
+/// → add → w4, HTT per step the PTT chain or the half-step w1 → w4 — reading
+/// its input slice and writing its output slice directly, with the rank-r
+/// intermediates in a lane slot small enough to stay in cache. Samples fan
+/// out over the shared pool as tt_exact_lanes() decides; all slots are carved
+/// from ctx here, on the calling thread, because the planned bump cursor is
+/// not thread-safe, and chunk `begin / grain` owns slot `begin / grain`.
+/// Every gemm keeps run_conv's per-sample arguments and the branch add is
+/// elementwise, so the result is bit-identical to eval TTConv2d::forward.
+Tensor run_tt_exact(const Op& op, const Tensor& x, ExecCtx& ctx) {
+  TTSNN_CHECK(x.dim() >= 3, "infer TT: input must be at least [C, H, W]");
+  TTSNN_CHECK(x.size(-3) == op.tt_w1_opts.in_channels,
+              "infer TT: channel mismatch, expected "
+                  << op.tt_w1_opts.in_channels << " in "
+                  << shape_str(x.shape()));
+  const TTMode mode = op.tt.mode;
+  const bool htt = mode == TTMode::kHTT;
+  TTSNN_CHECK(!htt || x.dim() == 5, "infer HTT expects [T, N, C, H, W]");
+  std::optional<ScheduleSplit> split;
+  if (htt) split.emplace(op, x.size(0), ctx);
+  const bool any_full = !htt || !split->full->empty();
+  const bool any_half = htt && !split->half->empty();
+  TTSNN_CHECK(any_full || any_half, "infer HTT: empty schedule");
+
+  const TTCore c1(op.w1, op.tt_w1_opts, x.size(-2), x.size(-1));
+  const int64_t o1_h = c1.g.out_h();
+  const int64_t o1_w = c1.g.out_w();
+  TTCore c2, c3, c4, c4_half;
+  int64_t col = c1.col_floats();
+  if (any_full) {
+    c2 = TTCore(op.w2, op.tt_w2_opts, o1_h, o1_w);
+    if (mode == TTMode::kSTT) {
+      c3 = TTCore(op.w3, op.tt_w3_opts, c2.g.out_h(), c2.g.out_w());
+    } else {
+      c3 = TTCore(op.w3, op.tt_w3_opts, o1_h, o1_w);
+      TTSNN_CHECK(c2.same_output(c3), "infer PTT: branch outputs disagree");
+    }
+    c4 = TTCore(op.w4, op.tt_w4_opts, c3.g.out_h(), c3.g.out_w());
+    col = std::max({col, c2.col_floats(), c3.col_floats(), c4.col_floats()});
+  }
+  if (any_half) {
+    c4_half = TTCore(op.w4, op.tt_w4_half_opts, o1_h, o1_w);
+    TTSNN_CHECK(!any_full || c4.same_output(c4_half),
+                "infer HTT: full/half step outputs disagree");
+    col = std::max(col, c4_half.col_floats());
+  }
+  const TTCore& last = any_full ? c4 : c4_half;
+  Shape out_shape = x.shape();
+  out_shape[out_shape.size() - 3] = last.out_channels;
+  out_shape[out_shape.size() - 2] = last.g.out_h();
+  out_shape[out_shape.size() - 1] = last.g.out_w();
+  Tensor out = ctx.out(out_shape);  // every sample writes its whole slice
+
+  // Lane slot: o1 | a (z2) | b (z3) | col, each part cache-line aligned —
+  // the layout op_footprint charges per slot.
+  const int64_t o1_len = plan_align_up(c1.out_floats());
+  const int64_t a_len = any_full ? plan_align_up(c2.out_floats()) : 0;
+  const int64_t b_len = any_full ? plan_align_up(c3.out_floats()) : 0;
+  const int64_t slot_len = o1_len + a_len + b_len + plan_align_up(col);
+  const int64_t in_stride = x.size(-3) * x.size(-2) * x.size(-1);
+  const int64_t out_stride = last.out_floats();
+  const int64_t samples = x.numel() / in_stride;
+  const TTExactLanes lanes = tt_exact_lanes(samples);
+  float* slots = ctx.raw(lanes.slots * slot_len);
+  const int64_t batch = htt ? x.size(1) : 1;
+  const float* xd = x.data();
+  float* yd = out.data();
+  parallel_for(
+      samples,
+      [&](int64_t begin, int64_t end) {
+        float* o1 = slots + (begin / lanes.grain) * slot_len;
+        float* a = o1 + o1_len;
+        float* b = a + a_len;
+        float* cb = b + b_len;
+        for (int64_t s = begin; s < end; ++s) {
+          const float* in = xd + s * in_stride;
+          float* y = yd + s * out_stride;
+          c1.run(in, cb, o1);
+          if (mode == TTMode::kSTT) {
+            c2.run(o1, cb, a);
+            c3.run(a, cb, b);
+            c4.run(b, cb, y);
+          } else if (htt && !std::binary_search(split->full->begin(),
+                                                split->full->end(),
+                                                s / batch)) {
+            c4_half.run(o1, cb, y);
+          } else {
+            c2.run(o1, cb, a);
+            c3.run(o1, cb, b);
+            simd::axpy(c2.out_floats(), 1.0F, b, a);  // Tensor::add_'s kernel
+            c4.run(a, cb, y);
+          }
+        }
+      },
+      lanes.grain);
+  return out;
 }
 
 /// Merged HTT: cross kernel on full steps, merged pointwise on half steps
@@ -488,15 +590,7 @@ Tensor run_conv_lif(const Op& op, const Tensor& x, ExecCtx& ctx) {
   TTSNN_CHECK(x.size(2) == opts.in_channels,
               "infer conv+lif: channel mismatch, expected "
                   << opts.in_channels << " in " << shape_str(x.shape()));
-  ConvGeometry g{.in_channels = opts.in_channels,
-                 .in_h = x.size(3),
-                 .in_w = x.size(4),
-                 .kernel_h = opts.kernel_h,
-                 .kernel_w = opts.kernel_w,
-                 .stride_h = opts.resolved_stride_h(),
-                 .stride_w = opts.resolved_stride_w(),
-                 .pad_h = opts.resolved_pad_h(),
-                 .pad_w = opts.resolved_pad_w()};
+  const ConvGeometry g = conv_geometry(opts, x.size(3), x.size(4));
   const int64_t oh = g.out_h();
   const int64_t ow = g.out_w();
   TTSNN_CHECK(oh > 0 && ow > 0,

@@ -64,6 +64,8 @@ CompiledProgram compile_program(const std::vector<Op>& ops,
     const Op& op = ops[i];
     OpExec e;
     e.out_shape = p.layout->shape[static_cast<size_t>(op.out)];
+    e.scratch_floats =
+        op_scratch_floats(op, p.layout->shape[static_cast<size_t>(op.in)]);
     if (analysis.is_alias[i]) {
       e.dest = OpExec::Dest::kAlias;
     } else if (op.kind == Op::Kind::kFlatten) {

@@ -56,6 +56,11 @@ struct OpExec {
   Dest dest = Dest::kWorkspace;
   Shape out_shape;     ///< concrete output shape (layout->shape[op.out])
   int64_t offset = 0;  ///< workspace float offset (kWorkspace only)
+  /// This op's own scratch charge (op_scratch_floats at this shape). The
+  /// planned executor fails the op if its carve ever exceeds it, so the
+  /// planner and each kernel stay in lockstep op by op, not only against
+  /// the plan-wide maximum.
+  int64_t scratch_floats = 0;
 
   /// HTT per-step schedule resolved for this T (kTTHtt ops, and kTTExact in
   /// HTT mode). The executor consumes these instead of re-splitting the

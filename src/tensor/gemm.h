@@ -5,9 +5,11 @@
 /// C = alpha * op(A) * op(B) + beta * C, with op controlled by trans flags.
 /// Matrices are densely packed: op(A) is [m, k], op(B) is [k, n], C is [m, n].
 ///
-/// Large problems are row-partitioned across the shared ThreadPool; the PTT
-/// branch parallelism (DESIGN.md §4) uses the same pool one level up, so GEMM
-/// keeps its own fan-out conservative to avoid oversubscription. The NN and
+/// Large problems are row-partitioned across the shared ThreadPool. The same
+/// pool runs coarser work one level up (the exact inference TT op's
+/// per-sample chains and the training PTT branches; see docs/ARCHITECTURE.md
+/// "Threading model"), so GEMM keeps its own fan-out conservative (one row
+/// strip by default) to avoid oversubscription. The NN and
 /// TN paths additionally switch to a cache-blocked inner kernel above a size
 /// threshold. Both kernels accumulate each C element in ascending-k order, so
 /// results are bit-identical across kernels and thread counts.

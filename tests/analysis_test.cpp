@@ -20,7 +20,9 @@
 #include "nn/containers.h"
 #include "nn/linear.h"
 #include "tensor/arena.h"
+#include "tensor/im2col.h"
 #include "tensor/ops.h"
+#include "util/thread_pool.h"
 
 namespace ttsnn {
 namespace {
@@ -471,6 +473,87 @@ TEST(PlannedRunTest, PlanPacksBelowTheUnplannedFootprint) {
   // The report renders and carries the totals.
   const std::string report = engine.summary(s);
   EXPECT_NE(report.find("workspace:"), std::string::npos);
+}
+
+// ---- sample-parallel exact TT op: lane-slot scratch ------------------------
+
+/// The fan-out rule, restated: fan out only when each of the pool's lanes
+/// (workers + caller) gets >= 2 samples, then one slot per chunk.
+int64_t expected_slots(int64_t samples) {
+  const int64_t lanes = ThreadPool::instance().workers() + 1;
+  if (samples < 2 * lanes) return 1;
+  const int64_t grain = (samples + lanes - 1) / lanes;
+  return (samples + grain - 1) / grain;
+}
+
+TEST(TTExactLanesTest, FansOutOnlyWhenEveryLaneGetsTwoSamples) {
+  const int64_t lanes = ThreadPool::instance().workers() + 1;
+  for (int64_t samples = 1; samples < 2 * lanes; ++samples) {
+    const infer::TTExactLanes l = infer::tt_exact_lanes(samples);
+    EXPECT_EQ(l.slots, 1) << samples;
+    EXPECT_EQ(l.grain, samples) << samples;  // one chunk: runs on the caller
+  }
+  for (int64_t samples = 2 * lanes; samples <= 8 * lanes + 3; ++samples) {
+    const infer::TTExactLanes l = infer::tt_exact_lanes(samples);
+    EXPECT_EQ(l.grain, (samples + lanes - 1) / lanes) << samples;
+    EXPECT_EQ(l.slots, expected_slots(samples)) << samples;
+    EXPECT_LE(l.slots, lanes) << samples;
+    EXPECT_GE(l.grain, 2) << samples;
+  }
+}
+
+TEST(TTExactLanesTest, ScratchIsLaneSlotsNotFullTensors) {
+  Rng rng(48);
+  ModulePtr net = testgen::trained_resnet18(TTMode::kPTT, rng);
+  infer::Engine engine = infer::compile(
+      *net, {.merge_tt = false, .fold_batchnorm = false});
+  auto align = [](int64_t n) { return infer::plan_align_up(n); };
+  auto geom = [](const Conv2d::Options& o, int64_t h, int64_t w) {
+    return ConvGeometry{.in_channels = o.in_channels,
+                        .in_h = h,
+                        .in_w = w,
+                        .kernel_h = o.kernel_h,
+                        .kernel_w = o.kernel_w,
+                        .stride_h = o.resolved_stride_h(),
+                        .stride_w = o.resolved_stride_w(),
+                        .pad_h = o.resolved_pad_h(),
+                        .pad_w = o.resolved_pad_w()};
+  };
+  auto col = [](const ConvGeometry& g) {
+    return g.pointwise() ? 0 : g.col_rows() * g.col_cols();
+  };
+  // T*N = 32 fans out on any pool; T*N = 4 stays on the caller (one slot)
+  // whenever the pool has >= 3 lanes, e.g. every 4-core host.
+  for (const Shape& s : {Shape{4, 8, 3, 8, 8}, Shape{4, 1, 3, 8, 8}}) {
+    const int64_t samples = s[0] * s[1];
+    const auto plan = engine.memory_plan(s);
+    int tt_ops = 0;
+    for (const Op& op : engine.ops()) {
+      if (op.kind != Op::Kind::kTTExact) continue;
+      ++tt_ops;
+      const Shape& in = plan->shape[static_cast<size_t>(op.in)];
+      // One PTT sample: o1 = w1(x), a = w2(o1), b = w3(o1), y = w4(a).
+      const ConvGeometry g1 = geom(op.tt_w1_opts, in[3], in[4]);
+      const ConvGeometry g2 = geom(op.tt_w2_opts, g1.out_h(), g1.out_w());
+      const ConvGeometry g3 = geom(op.tt_w3_opts, g1.out_h(), g1.out_w());
+      const ConvGeometry g4 = geom(op.tt_w4_opts, g2.out_h(), g2.out_w());
+      const int64_t o1 = op.tt_w1_opts.out_channels * g1.out_h() * g1.out_w();
+      const int64_t a = op.tt_w2_opts.out_channels * g2.out_h() * g2.out_w();
+      const int64_t b = op.tt_w3_opts.out_channels * g3.out_h() * g3.out_w();
+      const int64_t lane_col =
+          std::max({col(g1), col(g2), col(g3), col(g4)});
+      const int64_t chain = align(o1) + align(a) + align(b);
+      const int64_t scratch = infer::op_scratch_floats(op, in);
+      EXPECT_EQ(scratch, expected_slots(samples) * (chain + align(lane_col)))
+          << op.label << " at " << shape_str(s);
+      // Today's charge: full [T, N, r, H, W] o1 + a + b plus a shared col.
+      EXPECT_LT(scratch, align(samples * o1) + align(samples * a) +
+                             align(samples * b))
+          << op.label << " at " << shape_str(s);
+      EXPECT_EQ(infer::op_col_floats(op, in), 0) << "lanes own their col";
+    }
+    EXPECT_GT(tt_ops, 0);
+  }
 }
 
 TEST(PlannedRunTest, FlattenLowersToAnAliasAndStaysBitIdentical) {

@@ -2,8 +2,10 @@
 // random module trees — depth, channels, TT mode (none/stt/ptt/htt), stride,
 // BN flavor (incl. TEBN), pool placement — each compiled with fusion on and
 // off, in both the exact and the merged lowering, asserting BIT-identical
-// outputs against eval-mode Module::forward. Any failure prints the exact
-// TTSNN_TEST_SEED line that replays the sample plus the fused plan summary.
+// outputs against eval-mode Module::forward. One seed in four runs at a
+// batch wide enough for the exact TT op to fan its sample chains out. Any
+// failure prints the exact TTSNN_TEST_SEED line that replays the sample plus
+// the fused plan summary.
 //
 // Environment:
 //  - TTSNN_TEST_SEED=<n>  replay exactly one sample
@@ -13,9 +15,11 @@
 
 #include <gtest/gtest.h>
 
+#include "infer/analysis.h"
 #include "infer/engine.h"
 #include "model_gen.h"
 #include "tensor/ops.h"
+#include "util/thread_pool.h"
 
 namespace ttsnn {
 namespace {
@@ -37,16 +41,18 @@ int count_fused(const infer::Engine& engine) {
   return n;
 }
 
-/// One sample: ground truth from eval Module::forward, then four engines —
+/// One sample: ground truth from eval Module::forward at `input` (the
+/// generated shape, or the same with a wider batch), then four engines —
 /// {exact, merged} x {fusion on, fusion off}. The exact lowerings must match
 /// the module bit-for-bit; the merged pair must match each other bit-for-bit.
 /// Returns the fused-op count so the sweep can assert fusion actually fired.
-int check_sample(uint64_t seed, const testgen::GeneratedModel& gm) {
+int check_sample(uint64_t seed, const testgen::GeneratedModel& gm,
+                 const Shape& input) {
   SCOPED_TRACE(testgen::seed_line(seed));
-  SCOPED_TRACE(gm.desc);
+  SCOPED_TRACE(gm.desc + " input=" + shape_str(input));
 
   Rng rng(seed ^ 0x9e3779b97f4a7c15ULL);  // input stream independent of gen
-  Tensor x = Tensor::uniform(gm.input, rng);
+  Tensor x = Tensor::uniform(input, rng);
   Tensor want = gm.net->forward(x);
   gm.net->clear_cache();
 
@@ -88,11 +94,25 @@ TEST(FusionFuzzTest, RandomModelsBitIdenticalFusedAndUnfused) {
   const int iters =
       testgen::seed_pinned() ? 1 : testgen::iteration_budget(200);
   int64_t fused_total = 0;
+  int fanned_tt = 0;
   bool saw_mode[4] = {false, false, false, false};
+  const int64_t lanes = ThreadPool::instance().workers() + 1;
   for (int i = 0; i < iters; ++i) {
     const uint64_t seed = base + static_cast<uint64_t>(i);
     const testgen::GeneratedModel gm = testgen::random_model(seed);
-    fused_total += check_sample(seed, gm);
+    // One seed in four widens its batch past the exact plan's fan-out rule
+    // (T*N >= 2 * lanes), +0..2 so the last chunk is sometimes short. Keyed
+    // on the seed, not the index, so a pinned-seed replay gets the same input.
+    Shape input = gm.input;
+    if (seed % 4 == 0) {
+      input[1] = (2 * lanes + input[0] - 1) / input[0] +
+                 static_cast<int64_t>(seed / 4 % 3);
+    }
+    fused_total += check_sample(seed, gm, input);
+    if (gm.desc.find("tt=none") == std::string::npos &&
+        infer::tt_exact_lanes(input[0] * input[1]).slots > 1) {
+      ++fanned_tt;
+    }
     if (::testing::Test::HasFailure()) {
       // One failing sample is enough; its seed line is already in the trace.
       ADD_FAILURE() << "stopping the sweep after the first failing sample; "
@@ -110,6 +130,10 @@ TEST(FusionFuzzTest, RandomModelsBitIdenticalFusedAndUnfused) {
     EXPECT_TRUE(saw_mode[0] && saw_mode[1] && saw_mode[2] && saw_mode[3])
         << "generator failed to cover all TT modes in " << iters << " samples";
     EXPECT_GT(fused_total, 0) << "fusion never fired across the sweep";
+    if (lanes > 1) {
+      EXPECT_GT(fanned_tt, 0) << "no exact TT sample fanned out over "
+                              << lanes << " lanes";
+    }
   }
 }
 

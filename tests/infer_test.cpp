@@ -2,7 +2,8 @@
 // (unmerged) lowering must reproduce eval-mode Module::forward bit-for-bit
 // in every TT mode — including an HTT half-step schedule and stride-2
 // layers; merged lowering must match merge_network() bit-for-bit; Engine::run
-// must be thread-safe (identical bits from concurrent callers); and the
+// must be thread-safe (identical bits from concurrent callers, including
+// callers on either side of the exact plan's sample fan-out rule); and the
 // save -> load -> compile pipeline must reproduce the original model.
 
 #include <cstdio>
@@ -14,11 +15,13 @@
 
 #include "core/factorize.h"
 #include "core/models.h"
+#include "infer/analysis.h"
 #include "infer/engine.h"
 #include "infer/server.h"
 #include "snn/serialize.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
+#include "util/thread_pool.h"
 
 namespace ttsnn {
 namespace {
@@ -229,6 +232,87 @@ TEST(InferTest, ConcurrentRunsAreBitIdentical) {
   for (std::thread& t : threads) t.join();
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(worst[static_cast<size_t>(t)], 0.0) << "thread " << t;
+  }
+}
+
+// The exact plan runs each (t, n) sample's TT-core chain as one unit and
+// fans the units out over the pool only when every lane gets >= 2 samples.
+// T=5 with N in {1, 2, 3, 8} puts samples on both sides of that rule and,
+// for 2-4 lanes, leaves an uneven last chunk; MS-ResNet18 brings the
+// stride-2 blocks and HTT its half-step schedule.
+class ExactFanOutTest : public ::testing::TestWithParam<TTMode> {};
+
+TEST_P(ExactFanOutTest, BitIdenticalOnBothSidesOfTheFanOutRule) {
+  constexpr int64_t kT = 5;
+  Rng rng(18);
+  ModulePtr net = trained_model(GetParam(), rng, kT);
+  infer::Engine engine = infer::compile(
+      *net, {.merge_tt = false, .fold_batchnorm = false});
+  bool strided = false;
+  for (const infer::Op& op : engine.ops()) {
+    strided = strided ||
+              (op.kind == infer::Op::Kind::kTTExact && op.tt.stride == 2);
+  }
+  EXPECT_TRUE(strided) << "the model should carry a stride-2 TT block";
+
+  const int64_t lanes = ThreadPool::instance().workers() + 1;
+  bool serial = false;
+  bool fanned = false;
+  bool uneven = false;
+  for (const int64_t n : {1, 2, 3, 8}) {
+    const int64_t samples = kT * n;
+    const infer::TTExactLanes l = infer::tt_exact_lanes(samples);
+    serial = serial || l.slots == 1;
+    fanned = fanned || l.slots > 1;
+    uneven = uneven || (l.slots > 1 && samples % l.grain != 0);
+    Tensor x = Tensor::uniform({kT, n, 3, 8, 8}, rng);
+    Tensor want = net->forward(x);
+    Tensor got = engine.run(x);
+    ASSERT_EQ(got.shape(), want.shape());
+    EXPECT_EQ(max_abs_diff(got, want), 0.0)
+        << tt_mode_name(GetParam()) << " N=" << n << " slots=" << l.slots;
+  }
+  EXPECT_TRUE(serial);
+  if (lanes > 1) {
+    EXPECT_TRUE(fanned) << lanes << " lanes";
+    EXPECT_TRUE(uneven) << lanes << " lanes";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, ExactFanOutTest,
+                         ::testing::Values(TTMode::kSTT, TTMode::kPTT,
+                                           TTMode::kHTT),
+                         [](const auto& info) {
+                           return tt_mode_name(info.param);
+                         });
+
+// Two threads drive ONE engine (one shared ProgramCache) at batch sizes on
+// either side of the fan-out rule at the same time: the serial caller and
+// the fanned-out caller share the pool, and neither may disturb the other.
+TEST(InferTest, ConcurrentBatchSizesShareOneEngineBitIdentically) {
+  Rng rng(19);
+  ModulePtr net = trained_model(TTMode::kHTT, rng);
+  infer::Engine engine = infer::compile(
+      *net, {.merge_tt = false, .fold_batchnorm = false});
+  const std::vector<Tensor> inputs = {Tensor::uniform({4, 1, 3, 8, 8}, rng),
+                                      Tensor::uniform({4, 8, 3, 8, 8}, rng)};
+  std::vector<Tensor> golden;
+  for (const Tensor& x : inputs) golden.push_back(engine.run(x));
+
+  std::vector<double> worst(inputs.size(), -1.0);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < inputs.size(); ++t) {
+    threads.emplace_back([&, t] {
+      double w = 0.0;
+      for (int rep = 0; rep < 4; ++rep) {
+        w = std::max(w, max_abs_diff(engine.run(inputs[t]), golden[t]));
+      }
+      worst[t] = w;
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (size_t t = 0; t < inputs.size(); ++t) {
+    EXPECT_EQ(worst[t], 0.0) << "batch " << inputs[t].size(1);
   }
 }
 
