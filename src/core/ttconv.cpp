@@ -90,12 +90,11 @@ bool TTConv2d::is_full_step(int64_t t) const {
   return opts_.full_step[static_cast<size_t>(t)];
 }
 
-double TTConv2d::full_step_fraction(int64_t timesteps) const {
+double TTConv2d::full_step_fraction() const {
   if (opts_.mode != TTMode::kHTT || opts_.full_step.empty()) return 1.0;
   int64_t full = 0;
   for (bool b : opts_.full_step) full += b ? 1 : 0;
   const int64_t total = static_cast<int64_t>(opts_.full_step.size());
-  (void)timesteps;
   return static_cast<double>(full) / static_cast<double>(total);
 }
 
@@ -264,21 +263,13 @@ Tensor TTConv2d::merged_half_kernel() const { return merge_half(cores()); }
 
 void TTConv2d::describe(ShapeState& s, std::vector<LayerDesc>& out) const {
   const std::string mode = tt_mode_name(opts_.mode);
-  const double strip_util = full_step_fraction(0);
+  const double strip_util = full_step_fraction();
   const bool parallel_mode = opts_.mode != TTMode::kSTT;
   const int64_t in_h = s.h, in_w = s.w;
 
   auto emit = [&](const Conv2d::Options& o, const char* part, double util,
                   bool spike_in, int64_t ih, int64_t iw) -> ConvGeometry {
-    ConvGeometry g{.in_channels = o.in_channels,
-                   .in_h = ih,
-                   .in_w = iw,
-                   .kernel_h = o.kernel_h,
-                   .kernel_w = o.kernel_w,
-                   .stride_h = o.resolved_stride_h(),
-                   .stride_w = o.resolved_stride_w(),
-                   .pad_h = o.resolved_pad_h(),
-                   .pad_w = o.resolved_pad_w()};
+    const ConvGeometry g = conv_geometry(o, ih, iw);
     LayerDesc d;
     d.kind = "ttconv";
     d.detail = mode + "." + part;

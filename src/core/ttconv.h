@@ -8,7 +8,7 @@
 ///    place stride (s,1) on the vertical core and (1,s) on the horizontal
 ///    core so the chain composes to a stride-s convolution.
 ///  - PTT (Fig. 1c, Eq. 5): w2 and w3 both consume the w1 output and run in
-///    parallel (two threads — the CPU analog of the paper's GPU streams);
+///    parallel (two pool tasks — the CPU analog of the paper's GPU streams);
 ///    their sum feeds w4. The effective kernel is the K x K cross (no
 ///    corners). Stride-s layers stride both branches by (s,s).
 ///  - HTT (Fig. 2): a per-timestep schedule; "full" steps run the PTT path,
@@ -41,7 +41,9 @@ class TTConv2d : public Module {
     /// HTT schedule: full_step[t] == true runs the full (PTT) path at step t.
     /// Empty means "all steps full". Ignored for STT/PTT.
     std::vector<bool> full_step;
-    /// Run the PTT/HTT strip branches on two threads.
+    /// Run the PTT/HTT strip branches as two concurrent pool tasks. Either
+    /// way each core's convolution spreads its samples over the pool
+    /// (conv2d_forward / conv2d_backward), with bit-identical results.
     bool parallel_branches = true;
   };
 
@@ -65,8 +67,8 @@ class TTConv2d : public Module {
   Tensor merged_kernel() const;
   /// Merged pointwise kernel for HTT half steps.
   Tensor merged_half_kernel() const;
-  /// Fraction of timesteps executing the full path (1.0 unless HTT).
-  double full_step_fraction(int64_t timesteps) const;
+  /// Fraction of schedule steps executing the full path (1.0 unless HTT).
+  double full_step_fraction() const;
 
   Parameter& w1() { return w1_; }
   Parameter& w2() { return w2_; }

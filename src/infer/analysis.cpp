@@ -64,19 +64,6 @@ void unify_shape(Shape& a, Shape& b, const Op& op, size_t index,
   }
 }
 
-ConvGeometry make_geometry(int64_t in_h, int64_t in_w,
-                           const Conv2d::Options& o) {
-  return ConvGeometry{.in_channels = o.in_channels,
-                      .in_h = in_h,
-                      .in_w = in_w,
-                      .kernel_h = o.kernel_h,
-                      .kernel_w = o.kernel_w,
-                      .stride_h = o.resolved_stride_h(),
-                      .stride_w = o.resolved_stride_w(),
-                      .pad_h = o.resolved_pad_h(),
-                      .pad_w = o.resolved_pad_w()};
-}
-
 /// Shape transfer of one dense convolution. Unifies the input's channel dim
 /// with the conv geometry in place; spatial extents propagate when known and
 /// are validated to produce a non-empty output.
@@ -96,7 +83,7 @@ Shape conv_out_shape(Shape& in, const Conv2d::Options& o, const Op& op,
       out[d] = kDimUnknown;
       continue;
     }
-    const ConvGeometry g = make_geometry(in[ci + 1], in[ci + 2], o);
+    const ConvGeometry g = conv_geometry(o, in[ci + 1], in[ci + 2]);
     const int64_t extent = spatial == 0 ? g.out_h() : g.out_w();
     TTSNN_CHECK(extent > 0, "infer verify: " << op_where(op, index) << ": "
                                              << what
@@ -113,7 +100,7 @@ int64_t col_floats(const Shape& s, const Conv2d::Options& o) {
   const int64_t h = s[s.size() - 2];
   const int64_t w = s[s.size() - 1];
   if (!known(h) || !known(w)) return 0;
-  const ConvGeometry g = make_geometry(h, w, o);
+  const ConvGeometry g = conv_geometry(o, h, w);
   return g.pointwise() ? 0 : g.col_rows() * g.col_cols();
 }
 
@@ -339,7 +326,7 @@ OpFootprint op_footprint(const Op& op, size_t index, Shape& in, Shape* in2) {
     const int64_t h = s[s.size() - 2];
     const int64_t w = s[s.size() - 1];
     if (!known(h) || !known(w)) return;
-    const ConvGeometry g = make_geometry(h, w, o);
+    const ConvGeometry g = conv_geometry(o, h, w);
     f.scratch += align_up((g.col_rows() * g.col_cols() + 3) / 4);
   };
 
@@ -433,7 +420,7 @@ OpFootprint op_footprint(const Op& op, size_t index, Shape& in, Shape* in2) {
         slot = known(slot) && known(n) ? slot + align_up(n) : kDimUnknown;
       }
       if (known(samples) && known(slot)) {
-        f.scratch = tt_exact_lanes(samples).slots * slot;
+        f.scratch = sample_lanes(samples).slots * slot;
       }
       break;
     }
@@ -797,13 +784,6 @@ PlanAnalysis analyze_plan(const std::vector<Op>& ops, int num_regs,
         (r == result_reg || last < 0) ? INT_MAX : last;
   }
   return a;
-}
-
-TTExactLanes tt_exact_lanes(int64_t samples) {
-  const int64_t lanes = ThreadPool::instance().workers() + 1;
-  if (samples < 2 * lanes) return {.grain = std::max<int64_t>(samples, 1)};
-  const int64_t grain = (samples + lanes - 1) / lanes;
-  return {.grain = grain, .slots = (samples + grain - 1) / grain};
 }
 
 bool fusion_candidate(const PlanAnalysis& analysis, int reg) {

@@ -60,21 +60,6 @@ constexpr int64_t plan_align_up(int64_t n) {
   return (n + kPlanAlignFloats - 1) / kPlanAlignFloats * kPlanAlignFloats;
 }
 
-/// Sample-parallel fan-out of one kTTExact op over its `samples` (t, n)
-/// core chains. The pool offers lanes = ThreadPool::instance().workers() + 1
-/// (the calling thread takes chunks too). The op fans out only when every
-/// lane gets at least two samples (samples >= 2 * lanes): in chunks of
-/// grain = ceil(samples / lanes), each chunk owning one lane slot. Below
-/// that, waking idle workers costs more than the chains, so they run
-/// serially on the caller in a single slot. Input-derived, not a setting;
-/// the planner and the executor both call this, so the workspace charge and
-/// the executor's carve agree.
-struct TTExactLanes {
-  int64_t grain = 1;  ///< samples per chunk (one chunk per slot)
-  int64_t slots = 1;  ///< lane slots carved: ceil(samples / grain)
-};
-TTExactLanes tt_exact_lanes(int64_t samples);
-
 /// Live range of one register, in op indices: `def` is the op that writes it
 /// (-1 for the input register 0), `last_use` the last op that reads it (-1
 /// when never read — only legal for the result register).

@@ -118,19 +118,6 @@ struct PlannedCtx final : ExecCtx {
   }
 };
 
-ConvGeometry conv_geometry(const Conv2d::Options& opts, int64_t in_h,
-                           int64_t in_w) {
-  return ConvGeometry{.in_channels = opts.in_channels,
-                      .in_h = in_h,
-                      .in_w = in_w,
-                      .kernel_h = opts.kernel_h,
-                      .kernel_w = opts.kernel_w,
-                      .stride_h = opts.resolved_stride_h(),
-                      .stride_w = opts.resolved_stride_w(),
-                      .pad_h = opts.resolved_pad_h(),
-                      .pad_w = opts.resolved_pad_w()};
-}
-
 /// Dense convolution over a folded-batch NCHW tensor. Mirrors
 /// conv2d_forward() exactly (same im2col lowering, same gemm calls in the
 /// same order) so outputs are bit-identical to the Module path; the only
@@ -293,7 +280,7 @@ struct TTCore {
 /// → add → w4, HTT per step the PTT chain or the half-step w1 → w4 — reading
 /// its input slice and writing its output slice directly, with the rank-r
 /// intermediates in a lane slot small enough to stay in cache. Samples fan
-/// out over the shared pool as tt_exact_lanes() decides; all slots are carved
+/// out over the shared pool as sample_lanes() decides; all slots are carved
 /// from ctx here, on the calling thread, because the planned bump cursor is
 /// not thread-safe, and chunk `begin / grain` owns slot `begin / grain`.
 /// Every gemm keeps run_conv's per-sample arguments and the branch add is
@@ -351,7 +338,7 @@ Tensor run_tt_exact(const Op& op, const Tensor& x, ExecCtx& ctx) {
   const int64_t in_stride = x.size(-3) * x.size(-2) * x.size(-1);
   const int64_t out_stride = last.out_floats();
   const int64_t samples = x.numel() / in_stride;
-  const TTExactLanes lanes = tt_exact_lanes(samples);
+  const SampleLanes lanes = sample_lanes(samples);
   float* slots = ctx.raw(lanes.slots * slot_len);
   const int64_t batch = htt ? x.size(1) : 1;
   const float* xd = x.data();

@@ -61,13 +61,20 @@ class Conv2d : public Module {
   Tensor cached_input_;
 };
 
+/// Geometry of a convolution with options `opts` over an in_h x in_w input.
+ConvGeometry conv_geometry(const Conv2d::Options& opts, int64_t in_h,
+                           int64_t in_w);
+
 /// Stateless functional convolution used by both Conv2d and TTConv2d.
 /// x: [..., C, H, W] (leading dims folded into batch), weight [O, C, kh, kw].
+/// The folded samples spread over the shared pool (sample_lanes() in
+/// util/thread_pool.h); the result is bit-identical for any lane count.
 Tensor conv2d_forward(const Tensor& x, const Tensor& weight,
                       const Conv2d::Options& opts);
 
 /// Backward of conv2d_forward. Accumulates into weight_grad (same shape as
-/// weight); returns grad w.r.t. x.
+/// weight) in ascending sample order, as a serial loop would, whatever the
+/// lane count; returns grad w.r.t. x. grad_out must fold to x's batch.
 Tensor conv2d_backward(const Tensor& x, const Tensor& weight,
                        const Conv2d::Options& opts, const Tensor& grad_out,
                        Tensor& weight_grad);

@@ -5,11 +5,12 @@
 /// C = alpha * op(A) * op(B) + beta * C, with op controlled by trans flags.
 /// Matrices are densely packed: op(A) is [m, k], op(B) is [k, n], C is [m, n].
 ///
-/// Large problems are row-partitioned across the shared ThreadPool. The same
-/// pool runs coarser work one level up (the exact inference TT op's
-/// per-sample chains and the training PTT branches; see docs/ARCHITECTURE.md
-/// "Threading model"), so GEMM keeps its own fan-out conservative (one row
-/// strip by default) to avoid oversubscription. The NN and
+/// Large problems can be row-partitioned across the shared ThreadPool. The
+/// same pool runs coarser work one level up (the exact inference TT op's
+/// per-sample chains, the training convolutions' per-sample loop and the
+/// training PTT branches; see docs/ARCHITECTURE.md "Threading model"), so
+/// GEMM keeps its own fan-out at one row strip by default to avoid
+/// oversubscription. The NN and
 /// TN paths additionally switch to a cache-blocked inner kernel above a size
 /// threshold. Both kernels accumulate each C element in ascending-k order, so
 /// results are bit-identical across kernels and thread counts.
@@ -22,8 +23,9 @@ void gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
           float alpha, const float* a, const float* b, float beta, float* c);
 
 /// Number of row partitions GEMM may fan out across the shared pool
-/// (defaults to 1; the training loop raises it for the dense baseline where
-/// no branch parallelism exists).
+/// (defaults to 1). No library code raises it: training and serving both
+/// spread samples over the pool one level up, where the per-sample GEMMs are
+/// too small to split by row. Benchmarks and tests raise it under a guard.
 void set_gemm_threads(int threads);
 int gemm_threads();
 

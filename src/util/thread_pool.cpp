@@ -184,6 +184,13 @@ ThreadPool& ThreadPool::instance() {
   return pool;
 }
 
+SampleLanes sample_lanes(int64_t samples) {
+  const int64_t lanes = ThreadPool::instance().workers() + 1;
+  if (samples < 2 * lanes) return {.grain = std::max<int64_t>(samples, 1)};
+  const int64_t grain = (samples + lanes - 1) / lanes;
+  return {.grain = grain, .slots = (samples + grain - 1) / grain};
+}
+
 void parallel_for(int64_t n, const std::function<void(int64_t, int64_t)>& fn,
                   int64_t grain) {
   ThreadPool::instance().parallel_for(n, fn, grain);

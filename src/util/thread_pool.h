@@ -83,6 +83,23 @@ class ThreadPool {
   bool stop_ = false;
 };
 
+/// How a loop over `samples` independent samples (the folded T·N batch of a
+/// convolution or of an exact TT op) spreads over the process-wide pool. The
+/// pool offers lanes = workers() + 1 (the calling thread takes chunks too).
+/// The loop fans out only when every lane gets at least two samples
+/// (samples >= 2 * lanes): in chunks of grain = ceil(samples / lanes), chunk
+/// `begin / grain` owning lane slot `begin / grain`. Below that, waking idle
+/// workers costs more than the samples, so they run serially on the caller
+/// in a single slot (a batch-1 eval forward, T·N = 4, stays serial on a
+/// 4-lane pool). Input-derived, not a setting: the inference planner, its
+/// executor and the training convolutions all call this, so a workspace
+/// charge and the carve that fills it agree.
+struct SampleLanes {
+  int64_t grain = 1;  ///< samples per chunk (one chunk per slot)
+  int64_t slots = 1;  ///< lane slots to carve: ceil(samples / grain)
+};
+SampleLanes sample_lanes(int64_t samples);
+
 /// parallel_for on the process-wide pool (ThreadPool::instance()).
 void parallel_for(int64_t n, const std::function<void(int64_t, int64_t)>& fn,
                   int64_t grain = 0);

@@ -477,8 +477,8 @@ TEST(PlannedRunTest, PlanPacksBelowTheUnplannedFootprint) {
 
 // ---- sample-parallel exact TT op: lane-slot scratch ------------------------
 
-/// The fan-out rule, restated: fan out only when each of the pool's lanes
-/// (workers + caller) gets >= 2 samples, then one slot per chunk.
+/// The fan-out rule (sample_lanes), restated: fan out only when each of the
+/// pool's lanes (workers + caller) gets >= 2 samples, then one slot per chunk.
 int64_t expected_slots(int64_t samples) {
   const int64_t lanes = ThreadPool::instance().workers() + 1;
   if (samples < 2 * lanes) return 1;
@@ -486,39 +486,12 @@ int64_t expected_slots(int64_t samples) {
   return (samples + grain - 1) / grain;
 }
 
-TEST(TTExactLanesTest, FansOutOnlyWhenEveryLaneGetsTwoSamples) {
-  const int64_t lanes = ThreadPool::instance().workers() + 1;
-  for (int64_t samples = 1; samples < 2 * lanes; ++samples) {
-    const infer::TTExactLanes l = infer::tt_exact_lanes(samples);
-    EXPECT_EQ(l.slots, 1) << samples;
-    EXPECT_EQ(l.grain, samples) << samples;  // one chunk: runs on the caller
-  }
-  for (int64_t samples = 2 * lanes; samples <= 8 * lanes + 3; ++samples) {
-    const infer::TTExactLanes l = infer::tt_exact_lanes(samples);
-    EXPECT_EQ(l.grain, (samples + lanes - 1) / lanes) << samples;
-    EXPECT_EQ(l.slots, expected_slots(samples)) << samples;
-    EXPECT_LE(l.slots, lanes) << samples;
-    EXPECT_GE(l.grain, 2) << samples;
-  }
-}
-
-TEST(TTExactLanesTest, ScratchIsLaneSlotsNotFullTensors) {
+TEST(TTExactScratchTest, ScratchIsLaneSlotsNotFullTensors) {
   Rng rng(48);
   ModulePtr net = testgen::trained_resnet18(TTMode::kPTT, rng);
   infer::Engine engine = infer::compile(
       *net, {.merge_tt = false, .fold_batchnorm = false});
   auto align = [](int64_t n) { return infer::plan_align_up(n); };
-  auto geom = [](const Conv2d::Options& o, int64_t h, int64_t w) {
-    return ConvGeometry{.in_channels = o.in_channels,
-                        .in_h = h,
-                        .in_w = w,
-                        .kernel_h = o.kernel_h,
-                        .kernel_w = o.kernel_w,
-                        .stride_h = o.resolved_stride_h(),
-                        .stride_w = o.resolved_stride_w(),
-                        .pad_h = o.resolved_pad_h(),
-                        .pad_w = o.resolved_pad_w()};
-  };
   auto col = [](const ConvGeometry& g) {
     return g.pointwise() ? 0 : g.col_rows() * g.col_cols();
   };
@@ -533,10 +506,10 @@ TEST(TTExactLanesTest, ScratchIsLaneSlotsNotFullTensors) {
       ++tt_ops;
       const Shape& in = plan->shape[static_cast<size_t>(op.in)];
       // One PTT sample: o1 = w1(x), a = w2(o1), b = w3(o1), y = w4(a).
-      const ConvGeometry g1 = geom(op.tt_w1_opts, in[3], in[4]);
-      const ConvGeometry g2 = geom(op.tt_w2_opts, g1.out_h(), g1.out_w());
-      const ConvGeometry g3 = geom(op.tt_w3_opts, g1.out_h(), g1.out_w());
-      const ConvGeometry g4 = geom(op.tt_w4_opts, g2.out_h(), g2.out_w());
+      const ConvGeometry g1 = conv_geometry(op.tt_w1_opts, in[3], in[4]);
+      const ConvGeometry g2 = conv_geometry(op.tt_w2_opts, g1.out_h(), g1.out_w());
+      const ConvGeometry g3 = conv_geometry(op.tt_w3_opts, g1.out_h(), g1.out_w());
+      const ConvGeometry g4 = conv_geometry(op.tt_w4_opts, g2.out_h(), g2.out_w());
       const int64_t o1 = op.tt_w1_opts.out_channels * g1.out_h() * g1.out_w();
       const int64_t a = op.tt_w2_opts.out_channels * g2.out_h() * g2.out_w();
       const int64_t b = op.tt_w3_opts.out_channels * g3.out_h() * g3.out_w();

@@ -110,7 +110,7 @@ TEST(FusionFuzzTest, RandomModelsBitIdenticalFusedAndUnfused) {
     }
     fused_total += check_sample(seed, gm, input);
     if (gm.desc.find("tt=none") == std::string::npos &&
-        infer::tt_exact_lanes(input[0] * input[1]).slots > 1) {
+        sample_lanes(input[0] * input[1]).slots > 1) {
       ++fanned_tt;
     }
     if (::testing::Test::HasFailure()) {

@@ -261,7 +261,7 @@ TEST_P(ExactFanOutTest, BitIdenticalOnBothSidesOfTheFanOutRule) {
   bool uneven = false;
   for (const int64_t n : {1, 2, 3, 8}) {
     const int64_t samples = kT * n;
-    const infer::TTExactLanes l = infer::tt_exact_lanes(samples);
+    const SampleLanes l = sample_lanes(samples);
     serial = serial || l.slots == 1;
     fanned = fanned || l.slots > 1;
     uneven = uneven || (l.slots > 1 && samples % l.grain != 0);

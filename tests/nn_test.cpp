@@ -1,5 +1,9 @@
 // Unit and gradient-check tests for the dense NN layers: Conv2d, Linear,
-// BatchNorm (all three modes), pooling, and the container modules.
+// BatchNorm (all three modes), pooling, and the container modules; plus the
+// bit-identity of the sample-parallel training convolutions against a loop
+// of batch-1 calls.
+
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -10,7 +14,9 @@
 #include "nn/lif.h"
 #include "nn/linear.h"
 #include "nn/pooling.h"
+#include "tensor/gemm.h"
 #include "tensor/ops.h"
+#include "util/thread_pool.h"
 
 namespace ttsnn {
 namespace {
@@ -95,6 +101,142 @@ TEST(Conv2dTest, DescribeComputesMacsAndParams) {
   EXPECT_EQ(s.c, 32);
   EXPECT_EQ(s.h, 4);
 }
+
+TEST(Conv2dTest, BackwardRejectsGradOutWithFewerSamples) {
+  Rng rng(60);
+  Conv2d::Options o{.in_channels = 2, .out_channels = 3};
+  Tensor w = Tensor::randn({3, 2, 3, 3}, rng);
+  Tensor dw = Tensor::zeros(w.shape());
+  Tensor x = Tensor::randn({4, 2, 2, 5, 5}, rng);
+  // Same [O, oh, ow] tail, but 4 samples where x folds to 8.
+  Tensor g = Tensor::randn({2, 2, 3, 5, 5}, rng);
+  try {
+    conv2d_backward(x, w, o, g, dw);
+    FAIL() << "a short grad_out must be rejected";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("conv2d_backward"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("samples"), std::string::npos)
+        << e.what();
+  }
+  // More samples than the input is just as wrong.
+  Tensor g_long = Tensor::randn({5, 2, 3, 5, 5}, rng);
+  EXPECT_THROW(conv2d_backward(x, w, o, g_long, dw), Error);
+}
+
+TEST(Conv2dTest, BackwardRejectsWeightGradOfAnotherShape) {
+  Rng rng(61);
+  Conv2d::Options o{.in_channels = 2, .out_channels = 3};
+  Tensor w = Tensor::randn({3, 2, 3, 3}, rng);
+  Tensor x = Tensor::randn({2, 2, 5, 5}, rng);
+  Tensor g = Tensor::randn({2, 3, 5, 5}, rng);
+  for (const Shape& bad :
+       {Shape{3, 2, 3, 1}, Shape{3, 2, 9}, Shape{4, 2, 3, 3}}) {
+    Tensor dw = Tensor::zeros(bad);
+    try {
+      conv2d_backward(x, w, o, g, dw);
+      FAIL() << "weight_grad " << shape_str(bad) << " must be rejected";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("weight_grad"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// ---- sample-parallel training convolutions ---------------------------------
+// conv2d_forward/conv2d_backward spread the folded batch over the pool once it
+// holds >= 2 samples per lane (sample_lanes). The oracle is a loop of batch-1
+// calls — always serial — into one weight_grad: output, grad_in and
+// weight_grad must match it bit for bit, for every NT gemm tier.
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+struct ConvCase {
+  const char* name;
+  Conv2d::Options opts;
+};
+void PrintTo(const ConvCase& c, std::ostream* os) { *os << c.name; }
+
+class ConvFanOutTest : public ::testing::TestWithParam<ConvCase> {};
+
+TEST_P(ConvFanOutTest, BatchedMatchesBatchOneLoopBitwise) {
+  const Conv2d::Options o = GetParam().opts;
+  Rng rng(62);
+  const int64_t lanes = ThreadPool::instance().workers() + 1;
+  Tensor w = Tensor::randn({o.out_channels, o.in_channels, o.kernel_h,
+                            o.kernel_w},
+                           rng);
+  bool serial = false, fanned = false, uneven = false;
+  // Both sides of the rule; 2 * lanes + 1 and 5 * lanes + 3 also leave a
+  // short last chunk, and (restating the wave of two samples per slot) a
+  // short last weight-gradient wave.
+  for (const int64_t samples : {int64_t{1}, 2 * lanes - 1, 2 * lanes,
+                                2 * lanes + 1, 5 * lanes + 3}) {
+    const SampleLanes l = sample_lanes(samples);
+    serial = serial || l.slots == 1;
+    fanned = fanned || l.slots > 1;
+    uneven = uneven || (l.slots > 1 && samples % (2 * l.slots) != 0);
+    // Binary spikes as well as analog values: spikes reach the gemm's
+    // SpikePlane tier, whose NT kernel must sum exactly like the dense ones.
+    for (const bool spikes : {false, true}) {
+      Tensor x = spikes ? Tensor::bernoulli({samples, o.in_channels, 12, 12},
+                                            rng, 0.2F)
+                        : Tensor::randn({samples, o.in_channels, 12, 12}, rng);
+      const Tensor y = conv2d_forward(x, w, o);
+      const Tensor g = Tensor::randn(y.shape(), rng);
+      const Tensor dw0 = Tensor::randn(w.shape(), rng);  // a running grad
+      for (const GemmKernel k : {GemmKernel::kAuto, GemmKernel::kNaive,
+                                 GemmKernel::kSimd, GemmKernel::kSparse}) {
+        GemmKernelGuard pin(k);
+        const std::string where = std::string(GetParam().name) +
+                                  " samples=" + std::to_string(samples) +
+                                  " spikes=" + std::to_string(spikes) +
+                                  " kernel=" +
+                                  std::to_string(static_cast<int>(k));
+        Tensor dw = dw0.clone();
+        const Tensor got_y = conv2d_forward(x, w, o);
+        const Tensor got_gx = conv2d_backward(x, w, o, g, dw);
+
+        Tensor want_dw = dw0.clone();
+        for (int64_t b = 0; b < samples; ++b) {
+          const Tensor xb = x.slice0(b, b + 1);
+          EXPECT_TRUE(same_bits(conv2d_forward(xb, w, o),
+                                got_y.slice0(b, b + 1)))
+              << where << " y sample " << b;
+          EXPECT_TRUE(same_bits(
+              conv2d_backward(xb, w, o, g.slice0(b, b + 1), want_dw),
+              got_gx.slice0(b, b + 1)))
+              << where << " grad_in sample " << b;
+        }
+        EXPECT_TRUE(same_bits(dw, want_dw)) << where << " weight_grad";
+      }
+    }
+  }
+  EXPECT_TRUE(serial);
+  if (lanes > 1) {
+    EXPECT_TRUE(fanned) << lanes << " lanes";
+    EXPECT_TRUE(uneven) << lanes << " lanes";
+  }
+}
+
+// The four shapes the training pipeline runs: pointwise (TT w1/w4, read in
+// place), dense 3x3 at stride 1 and 2, and the PTT strips.
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ConvFanOutTest,
+    ::testing::Values(
+        ConvCase{"pointwise", {.in_channels = 8, .out_channels = 6,
+                               .kernel_h = 1, .kernel_w = 1}},
+        ConvCase{"k3s1", {.in_channels = 4, .out_channels = 5}},
+        ConvCase{"k3s2", {.in_channels = 4, .out_channels = 6, .stride = 2}},
+        ConvCase{"kx1", {.in_channels = 5, .out_channels = 5, .kernel_h = 3,
+                         .kernel_w = 1, .stride = 2}},
+        ConvCase{"1xk", {.in_channels = 5, .out_channels = 5, .kernel_h = 1,
+                         .kernel_w = 3, .stride_h = 1, .stride_w = 2}}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 TEST(LinearTest, ForwardMatchesHandComputed) {
   Rng rng(7);

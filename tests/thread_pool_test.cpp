@@ -18,6 +18,25 @@
 namespace ttsnn {
 namespace {
 
+// The one fan-out rule shared by the exact TT op and the training
+// convolutions: one chunk on the caller below 2 samples per lane, else one
+// chunk (and one lane slot) per lane.
+TEST(SampleLanesTest, FansOutOnlyWhenEveryLaneGetsTwoSamples) {
+  const int64_t lanes = ThreadPool::instance().workers() + 1;
+  for (int64_t samples = 1; samples < 2 * lanes; ++samples) {
+    const SampleLanes l = sample_lanes(samples);
+    EXPECT_EQ(l.slots, 1) << samples;
+    EXPECT_EQ(l.grain, samples) << samples;  // one chunk: runs on the caller
+  }
+  for (int64_t samples = 2 * lanes; samples <= 8 * lanes + 3; ++samples) {
+    const SampleLanes l = sample_lanes(samples);
+    EXPECT_EQ(l.grain, (samples + lanes - 1) / lanes) << samples;
+    EXPECT_EQ(l.slots, (samples + l.grain - 1) / l.grain) << samples;
+    EXPECT_LE(l.slots, lanes) << samples;
+    EXPECT_GE(l.grain, 2) << samples;
+  }
+}
+
 TEST(ThreadPoolTest, CoversEveryIndexExactlyOnce) {
   ThreadPool pool(3);
   std::vector<std::atomic<int>> hits(257);

@@ -1,8 +1,13 @@
 // Tests for TTConv2d, the paper's core contribution: shape behaviour across
 // STT/PTT/HTT, end-to-end gradient checks in every mode, thread-parallel
-// branch determinism, and the merge equivalences of Eq. (6) — factorized
-// training output must match the merged dense kernel EXACTLY (the property
-// that lets TT-SNN fall back to spike-driven inference after training).
+// branch determinism, bit-identity of a sample-parallel training step
+// against per-sample steps, and the merge equivalences of Eq. (6) —
+// factorized training output must match the merged dense kernel EXACTLY (the
+// property that lets TT-SNN fall back to spike-driven inference after
+// training).
+
+#include <cstring>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -10,6 +15,7 @@
 #include "gradcheck.h"
 #include "nn/conv2d.h"
 #include "tensor/ops.h"
+#include "util/thread_pool.h"
 
 namespace ttsnn {
 namespace {
@@ -86,6 +92,89 @@ TEST(TTConvTest, ParallelBranchesMatchSerial) {
   EXPECT_LT(max_abs_diff(serial.w2().grad, parallel.w2().grad), 1e-4);
   EXPECT_LT(max_abs_diff(serial.w3().grad, parallel.w3().grad), 1e-4);
 }
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+/// Sample (t, j) of a [T, N, ...] tensor as a [1, 1, ...] tensor.
+Tensor sample_of(const Tensor& x, int64_t t, int64_t j) {
+  Shape one = x.shape();
+  one[0] = 1;
+  one[1] = 1;
+  Shape rest(x.shape().begin() + 1, x.shape().end());
+  return x.slice0(t, t + 1).reshape(rest).slice0(j, j + 1).reshape(one);
+}
+
+// One training step over a folded T*N batch past the fan-out rule, so every
+// core's convolutions spread over the pool, must match per-sample steps bit
+// for bit: output, grad_in and all four core gradients. Per sample (t, j) a
+// serial reference module with the same cores and the one-step schedule
+// {full_step[t]} runs forward/backward, its gradients seeded with the running
+// totals. The HTT schedule puts its full steps first, so every core
+// accumulates its samples in ascending (t, j) order in both runs.
+class TTConvFanOutTest
+    : public ::testing::TestWithParam<std::tuple<TTMode, bool>> {};
+
+TEST_P(TTConvFanOutTest, TrainingStepMatchesPerSampleSteps) {
+  const auto [mode, parallel_branches] = GetParam();
+  Rng rng(20);
+  const int64_t lanes = ThreadPool::instance().workers() + 1;
+  const int64_t t_steps = 3;
+  const int64_t n = lanes + 1;  // the two full steps alone fan out
+  const std::vector<bool> schedule = {true, true, false};
+  if (lanes > 1) {
+    ASSERT_GT(sample_lanes(t_steps * n).slots, 1);
+    ASSERT_GT(sample_lanes(2 * n).slots, 1);
+  }
+  TTConv2d::Options o{.in_channels = 5, .out_channels = 6, .kernel = 3,
+                      .stride = 2, .rank = 3, .mode = mode,
+                      .full_step = schedule,
+                      .parallel_branches = parallel_branches};
+  TTConv2d conv(o, rng);
+  Tensor x = Tensor::bernoulli({t_steps, n, 5, 8, 8}, rng, 0.3F);
+  Tensor y = conv.forward(x);
+  Tensor g = Tensor::randn(y.shape(), rng);
+  Tensor gx = conv.backward(g);
+
+  TTConv2d::Options ro = o;
+  ro.parallel_branches = false;
+  const TTCores cores = conv.cores();
+  std::vector<Tensor> grads = {Tensor::zeros(cores.w1.shape()),
+                               Tensor::zeros(cores.w2.shape()),
+                               Tensor::zeros(cores.w3.shape()),
+                               Tensor::zeros(cores.w4.shape())};
+  for (int64_t t = 0; t < t_steps; ++t) {
+    ro.full_step = {schedule[static_cast<size_t>(t)]};
+    TTConv2d ref(ro, cores);
+    Parameter* params[4] = {&ref.w1(), &ref.w2(), &ref.w3(), &ref.w4()};
+    for (int64_t j = 0; j < n; ++j) {
+      for (size_t c = 0; c < 4; ++c) params[c]->grad = grads[c];
+      const Tensor ys = ref.forward(sample_of(x, t, j));
+      EXPECT_TRUE(same_bits(ys, sample_of(y, t, j))) << "y " << t << "," << j;
+      EXPECT_TRUE(same_bits(ref.backward(sample_of(g, t, j)),
+                            sample_of(gx, t, j)))
+          << "grad_in " << t << "," << j;
+      for (size_t c = 0; c < 4; ++c) grads[c] = params[c]->grad;
+    }
+  }
+  const Parameter* got[4] = {&conv.w1(), &conv.w2(), &conv.w3(), &conv.w4()};
+  for (size_t c = 0; c < 4; ++c) {
+    EXPECT_TRUE(same_bits(got[c]->grad, grads[c])) << "w" << c + 1 << ".grad";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ModesAndBranches, TTConvFanOutTest,
+    ::testing::Combine(::testing::Values(TTMode::kSTT, TTMode::kPTT,
+                                         TTMode::kHTT),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      return tt_mode_name(std::get<0>(info.param)) +
+             (std::get<1>(info.param) ? "_branches" : "_serial_branches");
+    });
 
 TEST(TTConvTest, HttHalfStepsSkipStrips) {
   // With an all-half schedule the strips must not contribute: zeroing w2/w3
