@@ -10,9 +10,9 @@
 //                 at 90% spike sparsity (density 0.1) is the PR-3 target.
 //   elemwise_*  — scalar vs AVX2 tiers of the axpy/adam/lif kernels.
 //   ttconv_*    — TTConv2d forward and forward+backward per mode.
-//   infer_run/* — batch-1 Engine::run: legacy per-register executor vs the
-//                 statically planned workspace (PR-6), fresh and reused;
-//                 each row reports arena acquisitions per call alongside p50,
+//   infer_run/* — batch-1 Engine::run into a fresh and into a reused
+//                 workspace; each row reports arena acquisitions per call
+//                 alongside p50,
 //                 so "one allocation per call" is a tracked number, not a
 //                 comment.
 //   quant/*     — typed weight planes: bf16 dequant tiers, the int8 spike-
@@ -194,8 +194,7 @@ void bench_ttconv(bench::Report& report, bool quick) {
   }
 }
 
-/// Batch-1 serving latency + allocation traffic: the legacy executor
-/// (Tensor::empty per register) against the statically planned one (one
+/// Batch-1 serving latency + allocation traffic of the planned executor (one
 /// packed workspace), with and without the caller reusing the workspace
 /// tensor across calls — the Router dispatcher's steady state.
 ModulePtr make_serving_model(Rng& rng) {
@@ -219,8 +218,6 @@ void bench_planned_run(bench::Report& report) {
   ModulePtr net = make_serving_model(rng);
   Tensor x = Tensor::bernoulli({4, 1, 3, 16, 16}, rng, 0.2F);
 
-  const infer::Engine legacy =
-      infer::compile(*net, {.static_plan = false});
   const infer::Engine planned = infer::compile(*net);
   const auto plan = planned.memory_plan(x.shape());
   Tensor ws;
@@ -229,7 +226,6 @@ void bench_planned_run(bench::Report& report) {
     const char* tag;
     std::function<Tensor()> run;
   } variants[] = {
-      {"legacy", [&] { return legacy.run(x); }},
       {"planned", [&] { return planned.run(x); }},
       {"planned_reuse", [&] { return planned.run(x, ws); }},
   };
@@ -243,76 +239,15 @@ void bench_planned_run(bench::Report& report) {
         static_cast<double>(calls.hits + calls.misses) / kCalls;
     const bench::Timing t = bench::time_fn([&] { v.run(); }, 0.1);
     const std::string name = std::string("infer_run/") + v.tag;
-    bench::Row& row = report.add(name)
-                          .str("config", v.tag)
-                          .num("allocs_per_call", allocs_per_call)
-                          .timing(t);
-    if (std::string(v.tag) != "legacy") {
-      row.num("workspace_bytes", static_cast<double>(plan->total_floats) * 4)
-          .num("unplanned_bytes",
-               static_cast<double>(plan->unplanned_floats) * 4);
-    }
-    std::printf("  %-44s p50 %7.3f ms  %5.1f allocs/call\n", name.c_str(),
-                t.p50_s * 1e3, allocs_per_call);
-  }
-}
-
-/// Elementwise fusion on vs off at the serving entry point: the same planned
-/// executor and reused workspace, the only variable being whether the LIF /
-/// residual epilogues run as fused single-pass plan ops (intermediates never
-/// leave registers/L1) or as separate kConv/kAffine/kAdd/kLif ops.
-void bench_fused_run(bench::Report& report) {
-  Rng rng(31);
-  ModulePtr net = make_serving_model(rng);
-  Tensor x = Tensor::bernoulli({4, 1, 3, 16, 16}, rng, 0.2F);
-
-  const infer::Engine fused = infer::compile(*net);
-  const infer::Engine unfused =
-      infer::compile(*net, {.fuse_elementwise = false});
-  int fused_ops = 0;
-  for (const infer::Op& op : fused.ops()) {
-    switch (op.kind) {
-      case infer::Op::Kind::kConvLif:
-      case infer::Op::Kind::kAffineLif:
-      case infer::Op::Kind::kAddLif:
-      case infer::Op::Kind::kAffineAdd:
-        ++fused_ops;
-        break;
-      default:
-        break;
-    }
-  }
-  Tensor ws_on;
-  Tensor ws_off;
-  const struct {
-    const char* tag;
-    const infer::Engine* engine;
-    Tensor* ws;
-    int fused;
-  } variants[] = {
-      {"on", &fused, &ws_on, fused_ops},
-      {"off", &unfused, &ws_off, 0},
-  };
-  for (const auto& v : variants) {
-    v.engine->run(x, *v.ws);  // warm-up: plan cache + workspace growth
-    constexpr int kCalls = 32;
-    Arena::instance().reset_stats();
-    for (int i = 0; i < kCalls; ++i) v.engine->run(x, *v.ws);
-    const ArenaStats calls = Arena::instance().stats();
-    const double allocs_per_call =
-        static_cast<double>(calls.hits + calls.misses) / kCalls;
-    const bench::Timing t =
-        bench::time_fn([&] { v.engine->run(x, *v.ws); }, 0.1);
-    const std::string name = std::string("infer_fused/") + v.tag;
     report.add(name)
         .str("config", v.tag)
-        .num("fused_ops", static_cast<double>(v.fused))
-        .num("num_ops", static_cast<double>(v.engine->num_ops()))
         .num("allocs_per_call", allocs_per_call)
-        .timing(t);
-    std::printf("  %-44s p50 %7.3f ms  %5.1f allocs/call  %zu ops\n",
-                name.c_str(), t.p50_s * 1e3, allocs_per_call,
-                v.engine->num_ops());
+        .timing(t)
+        .num("workspace_bytes", static_cast<double>(plan->total_floats) * 4)
+        .num("unplanned_bytes",
+             static_cast<double>(plan->unplanned_floats) * 4);
+    std::printf("  %-44s p50 %7.3f ms  %5.1f allocs/call\n", name.c_str(),
+                t.p50_s * 1e3, allocs_per_call);
   }
 }
 
@@ -628,21 +563,6 @@ int main(int argc, char** argv) {
     bench_elemwise(report, "lif_step", n, [&] {
       simd::lif_step_eval(n, 0.5F, 1.0F, true, in.data(), u.data(), s.data());
     });
-    // Fused inference epilogues: the same LIF step with its producer folded
-    // into one pass (what kAffineLif / kAddLif execute per plane). Compare
-    // ns_per_elem against lif_step + the producer's own row to see what the
-    // fusion pass saves per element.
-    Tensor u2 = Tensor::zeros({n});
-    bench_elemwise(report, "affine_lif_step", n, [&] {
-      simd::affine_lif_step(n, 0.1F, 1.1F, 0.9F, 0.02F, 0.5F, 1.0F, true,
-                            in.data(), u2.data(), s.data());
-    });
-    Tensor other = Tensor::randn({n}, rng);
-    Tensor u3 = Tensor::zeros({n});
-    bench_elemwise(report, "add_lif_step", n, [&] {
-      simd::add_lif_step(n, 0.5F, 1.0F, true, in.data(), other.data(),
-                         u3.data(), s.data());
-    });
   }
 
   std::printf("== TTConv pipelines ==\n");
@@ -651,8 +571,6 @@ int main(int argc, char** argv) {
   bench_quant_kernels(report, args.quick);
   std::printf("== planned inference run (batch 1) ==\n");
   bench_planned_run(report);
-  std::printf("== elementwise fusion on/off (batch 1) ==\n");
-  bench_fused_run(report);
   if (!args.quick) {
     std::printf("== decompositions ==\n");
     bench_decompositions(report);

@@ -17,12 +17,6 @@ int64_t align_up(int64_t n) { return plan_align_up(n); }
 
 bool known(int64_t d) { return d != kDimUnknown; }
 
-/// Kinds whose in2 operand is meaningful (a residual join, fused or not).
-bool has_second_input(Op::Kind k) {
-  return k == Op::Kind::kAdd || k == Op::Kind::kAddLif ||
-         k == Op::Kind::kAffineAdd;
-}
-
 /// numel of a possibly-symbolic shape; kDimUnknown if any extent is unknown.
 int64_t sym_numel(const Shape& s) {
   int64_t n = 1;
@@ -175,7 +169,6 @@ void check_conv_weight(const Tensor& w, const WeightPlane& p,
 void check_op_fields(const Op& op, size_t i) {
   switch (op.kind) {
     case Op::Kind::kConv:
-    case Op::Kind::kConvLif:
       check_conv_weight(op.weight, op.plane, op.conv, op, i, "conv weight");
       if (op.bias.defined()) {
         TTSNN_CHECK(op.bias.numel() == op.conv.out_channels,
@@ -204,9 +197,7 @@ void check_op_fields(const Op& op, size_t i) {
                                    << ": full/half kernels disagree on output "
                                    << "channels");
       break;
-    case Op::Kind::kAffine:
-    case Op::Kind::kAffineLif:
-    case Op::Kind::kAffineAdd: {
+    case Op::Kind::kAffine: {
       const struct {
         const Tensor& t;
         const char* name;
@@ -265,7 +256,6 @@ void check_op_fields(const Op& op, size_t i) {
     case Op::Kind::kGlobalPool:
     case Op::Kind::kFlatten:
     case Op::Kind::kAdd:
-    case Op::Kind::kAddLif:
       break;
   }
 }
@@ -476,8 +466,6 @@ OpFootprint op_footprint(const Op& op, size_t index, Shape& in, Shape* in2) {
     }
 
     case Op::Kind::kAffine:
-    case Op::Kind::kAffineLif:
-    case Op::Kind::kAffineAdd:
       TTSNN_CHECK(in.size() == 5,
                   "infer verify: " << op_where(op, index)
                                    << ": affine expects [T, N, C, H, W], got "
@@ -486,33 +474,8 @@ OpFootprint op_footprint(const Op& op, size_t index, Shape& in, Shape* in2) {
       if (op.bn_mode == BatchNorm::Mode::kTebn) {
         in[0] = unify_dim(in[0], op.bn_timesteps, op, index, "TEBN timesteps");
       }
-      if (op.kind == Op::Kind::kAffineAdd) {
-        TTSNN_CHECK(in2 != nullptr, "infer verify: "
-                                        << op_where(op, index)
-                                        << " needs a second input");
-        unify_shape(in, *in2, op, index, "residual operands");
-      }
       f.out = in;
-      if (op.kind == Op::Kind::kAffineLif) {
-        // The fused LIF epilogue's membrane plane, same as a standalone kLif.
-        const int64_t n = sym_numel(in);
-        if (known(n) && known(in[0])) f.scratch = align_up(n / in[0]);
-      }
       break;
-
-    case Op::Kind::kConvLif: {
-      TTSNN_CHECK(in.size() == 5,
-                  "infer verify: " << op_where(op, index)
-                                   << ": conv+lif expects [T, N, C, H, W], "
-                                   << "got " << shape_str(in));
-      f.out = conv_out_shape(in, op.conv, op, index, "conv");
-      see_col(in, op.conv);
-      // Membrane plane over the conv OUTPUT geometry, zeroed once per call.
-      const int64_t n = sym_numel(f.out);
-      if (known(n) && known(in[0])) f.scratch = align_up(n / in[0]);
-      see_plane(op.plane, in, op.conv);  // adds on top of the membrane
-      break;
-    }
 
     case Op::Kind::kLif: {
       TTSNN_CHECK(in.size() >= 2, "infer verify: " << op_where(op, index)
@@ -601,19 +564,10 @@ OpFootprint op_footprint(const Op& op, size_t index, Shape& in, Shape* in2) {
     }
 
     case Op::Kind::kAdd:
-    case Op::Kind::kAddLif:
       TTSNN_CHECK(in2 != nullptr, "infer verify: " << op_where(op, index)
                                                    << " needs a second input");
       unify_shape(in, *in2, op, index, "residual operands");
       f.out = in;
-      if (op.kind == Op::Kind::kAddLif) {
-        TTSNN_CHECK(in.size() >= 2,
-                    "infer verify: " << op_where(op, index)
-                                     << ": add+lif expects [T, N, ...], got "
-                                     << shape_str(in));
-        const int64_t n = sym_numel(in);
-        if (known(n) && known(in[0])) f.scratch = align_up(n / in[0]);
-      }
       break;
   }
   return f;
@@ -632,10 +586,8 @@ PlanAnalysis analyze_plan(const std::vector<Op>& ops, int num_regs,
   a.num_regs = num_regs;
   a.result_reg = result_reg;
   a.live.assign(static_cast<size_t>(num_regs), LiveRange{});
-  a.reads.assign(static_cast<size_t>(num_regs), 0);
   a.root.resize(static_cast<size_t>(num_regs));
   std::iota(a.root.begin(), a.root.end(), 0);
-  a.last_use.assign(static_cast<size_t>(num_regs), INT_MAX);
   a.is_alias.assign(ops.size(), false);
   a.is_inplace.assign(ops.size(), false);
   a.sym_shape.assign(static_cast<size_t>(num_regs), Shape{});
@@ -664,7 +616,7 @@ PlanAnalysis analyze_plan(const std::vector<Op>& ops, int num_regs,
                                           << op_where(op, i)
                                           << " reads register r" << op.in
                                           << " before it is written");
-    if (has_second_input(op.kind)) {
+    if (op.kind == Op::Kind::kAdd) {  // the only kind with a second input
       TTSNN_CHECK(op.in2 >= 0 && op.in2 < num_regs,
                   "infer verify: " << op_where(op, i)
                                    << " needs a second input register, got r"
@@ -699,10 +651,7 @@ PlanAnalysis analyze_plan(const std::vector<Op>& ops, int num_regs,
   }
   for (size_t i = 0; i < ops.size(); ++i) {
     for (int r : {ops[i].in, ops[i].in2}) {
-      if (r >= 0) {
-        a.live[static_cast<size_t>(r)].last_use = static_cast<int>(i);
-        ++a.reads[static_cast<size_t>(r)];
-      }
+      if (r >= 0) a.live[static_cast<size_t>(r)].last_use = static_cast<int>(i);
     }
   }
   for (int r = 1; r < num_regs; ++r) {
@@ -752,15 +701,10 @@ PlanAnalysis analyze_plan(const std::vector<Op>& ops, int num_regs,
       continue;
     }
     // Every elementwise kind whose kernel reads each input element before
-    // writing the output at the same position — fused epilogues included.
-    // kConvLif is excluded: its gemm writes whole tiles while later tiles
-    // still read the input.
+    // writing the output at the same position.
     const bool inplace_kind = op.kind == Op::Kind::kLif ||
                               op.kind == Op::Kind::kAffine ||
-                              op.kind == Op::Kind::kAdd ||
-                              op.kind == Op::Kind::kAffineLif ||
-                              op.kind == Op::Kind::kAddLif ||
-                              op.kind == Op::Kind::kAffineAdd;
+                              op.kind == Op::Kind::kAdd;
     if (inplace_kind && g != 0 && op.out != result_reg &&
         group_max[static_cast<size_t>(g)] <= static_cast<int>(i) &&
         (op.in2 < 0 || a.root[static_cast<size_t>(op.in2)] != g)) {
@@ -775,20 +719,7 @@ PlanAnalysis analyze_plan(const std::vector<Op>& ops, int num_regs,
     group_max[out] = member_last(op.out);
   }
 
-  // Derived eager-release table (the Engine's legacy executor): a register is
-  // dropped after its last reading op; never-read registers and the result
-  // are pinned to the end of the plan.
-  for (int r = 0; r < num_regs; ++r) {
-    const int last = a.live[static_cast<size_t>(r)].last_use;
-    a.last_use[static_cast<size_t>(r)] =
-        (r == result_reg || last < 0) ? INT_MAX : last;
-  }
   return a;
-}
-
-bool fusion_candidate(const PlanAnalysis& analysis, int reg) {
-  return reg != analysis.result_reg &&
-         analysis.reads[static_cast<size_t>(reg)] == 1;
 }
 
 Shape infer_op_shape(const Op& op, size_t index, Shape& in, Shape* in2) {
@@ -986,7 +917,7 @@ std::string memory_plan_report(const std::vector<Op>& ops,
   oss << "workspace: " << plan.total_floats << " floats ("
       << kib(plan.total_floats) << " KiB) = col " << plan.col_floats
       << " + scratch " << plan.scratch_floats << " + registers\n";
-  oss << "unplanned per-call allocations: " << plan.unplanned_floats
+  oss << "unpacked (no reuse): " << plan.unplanned_floats
       << " floats (" << kib(plan.unplanned_floats) << " KiB); peak live "
       << plan.peak_live_floats << " floats (" << kib(plan.peak_live_floats)
       << " KiB)\n";

@@ -24,8 +24,7 @@
 ///      out, where the remaining geometry (pool divisibility, empty conv
 ///      outputs) becomes checkable.
 ///
-///   3. Liveness + alias analysis — exact live ranges per register (the
-///      Engine's eager-release table is derived from this pass), kFlatten
+///   3. Liveness + alias analysis — exact live ranges per register, kFlatten
 ///      lowered to a pure alias of its input buffer, and in-place-safe ops
 ///      (kLif, kAffine, kAdd over their last-read input) merged into their
 ///      input's storage group.
@@ -76,17 +75,10 @@ struct PlanAnalysis {
 
   /// Per register.
   std::vector<LiveRange> live;
-  /// Per register: number of operand slots reading it across the whole plan
-  /// (an op reading the same register through in and in2 counts twice). The
-  /// fusion pass derives its single-consumer facts from this.
-  std::vector<int> reads;
   /// Per register: representative of its storage group. Registers created by
   /// kFlatten aliases or in-place ops share their input's group; everyone
   /// else roots itself. root[r] always points at the group's first register.
   std::vector<int> root;
-  /// Per register: index of the last op reading any register of its storage
-  /// group (the Engine's eager-release table; the result group never dies).
-  std::vector<int> last_use;
 
   /// Per op: true when the op is a pure view (kFlatten) — no kernel runs,
   /// the output register aliases the input buffer.
@@ -107,13 +99,6 @@ struct PlanAnalysis {
 PlanAnalysis analyze_plan(const std::vector<Op>& ops, int num_regs,
                           int result_reg);
 
-/// Fusion legality of one producer output: true when `reg` may vanish into
-/// its consumer — it is read by exactly one operand slot in the whole plan
-/// and is not the plan's result. SSA purity makes the fact positional-free:
-/// the producer's own inputs still hold their values at the consumer's index,
-/// so the fused op can re-read them there.
-bool fusion_candidate(const PlanAnalysis& analysis, int reg);
-
 /// Concrete memory layout of one (plan, input shape) pair: every storage
 /// group, the composite-op scratch region, and the im2col scratch packed
 /// into a single buffer of total_floats.
@@ -133,10 +118,12 @@ struct MemoryPlan {
   int64_t col_floats = 0;      ///< max over every conv lowering in the plan
   int64_t total_floats = 0;    ///< workspace size (one allocation per call)
 
-  /// Sum of every op-output allocation the unplanned executor would make
-  /// (registers + composite temps + col growth), for the savings report.
+  /// Packing-report figure: the floats of one separate buffer per op output
+  /// and per op's scratch, plus the col buffer — what the layout would cost
+  /// with no reuse at all.
   int64_t unplanned_floats = 0;
-  /// Widest simultaneously-live register set (what eager release peaks at).
+  /// Packing-report figure: the widest set of storage groups live at one op,
+  /// the lower bound any packing of the registers can reach.
   int64_t peak_live_floats = 0;
 };
 
@@ -163,8 +150,9 @@ int64_t op_col_floats(const Op& op, const Shape& in_shape);
 
 /// Human-readable memory-plan report for one input shape: one row per
 /// register (live range, shape, bytes, offset, alias/in-place flags) plus
-/// the workspace / scratch / col totals and the savings vs the unplanned
-/// executor. The ttsnn_plan_lint CLI prints this per TT mode.
+/// the workspace / scratch / col totals and the unpacked and peak-live
+/// figures the packing is judged against. The ttsnn_plan_lint CLI prints
+/// this per TT mode.
 std::string memory_plan_report(const std::vector<Op>& ops,
                                const PlanAnalysis& analysis,
                                const Shape& input);

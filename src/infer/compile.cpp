@@ -2,7 +2,6 @@
 #include <set>
 #include <sstream>
 
-#include "infer/analysis.h"
 #include "infer/engine.h"
 #include "nn/containers.h"
 #include "nn/linear.h"
@@ -302,115 +301,12 @@ int lower(const Module& m, int in_reg, Builder& b) {
   return -1;
 }
 
-/// Greedy elementwise fusion over the lowered plan, gated on
-/// CompileOptions::fuse_elementwise. Two rewrites over ONE pre-fusion
-/// analysis: (A) a kLif whose producer output has exactly one consumer
-/// collapses into kConvLif / kAffineLif / kAddLif at the LIF's index; (B) a
-/// surviving kAdd absorbs a single-consumer kAffine operand into kAffineAdd.
-/// Pass A leaves every surviving register's read count unchanged — the fused
-/// op re-reads exactly what its dead producer read — so the one analysis
-/// serves both passes. Placing the fused op at the CONSUMER's index is safe
-/// even when producer and consumer are not adjacent: the plan is SSA over
-/// pure ops, so the producer's inputs still hold their values there, and
-/// re-running analyze_plan afterwards re-derives alias/in-place facts for the
-/// rewritten plan. Dead producers are dropped and registers renumbered.
-void fuse_elementwise(std::vector<Op>& ops, int& num_regs, int& result_reg) {
-  if (ops.empty()) return;
-  const PlanAnalysis a = analyze_plan(ops, num_regs, result_reg);
-  std::vector<bool> dead(ops.size(), false);
-
-  auto producer = [&](int reg) {
-    const int d = a.live[static_cast<size_t>(reg)].def;
-    return d >= 0 && !dead[static_cast<size_t>(d)] ? d : -1;
-  };
-
-  // Pass A: LIF epilogues.
-  for (size_t i = 0; i < ops.size(); ++i) {
-    if (ops[i].kind != Op::Kind::kLif) continue;
-    if (!fusion_candidate(a, ops[i].in)) continue;
-    const int d = producer(ops[i].in);
-    if (d < 0) continue;
-    Op& prod = ops[static_cast<size_t>(d)];
-    Op::Kind fused_kind = Op::Kind::kLif;
-    switch (prod.kind) {
-      case Op::Kind::kConv:
-        // The per-tile epilogue needs the [T, N, C, H, W] batch layout.
-        if (a.sym_shape[static_cast<size_t>(prod.in)].size() != 5) continue;
-        fused_kind = Op::Kind::kConvLif;
-        break;
-      case Op::Kind::kAffine:
-        fused_kind = Op::Kind::kAffineLif;
-        break;
-      case Op::Kind::kAdd:
-        fused_kind = Op::Kind::kAddLif;
-        break;
-      default:
-        continue;
-    }
-    Op fused = std::move(prod);
-    fused.kind = fused_kind;
-    fused.lif = ops[i].lif;
-    fused.out = ops[i].out;
-    ops[i] = std::move(fused);
-    dead[static_cast<size_t>(d)] = true;
-  }
-
-  // Pass B: affine operands of the residual joins pass A left plain.
-  for (size_t i = 0; i < ops.size(); ++i) {
-    if (dead[i] || ops[i].kind != Op::Kind::kAdd) continue;
-    for (int slot = 0; slot < 2; ++slot) {
-      const int reg = slot == 0 ? ops[i].in : ops[i].in2;
-      if (!fusion_candidate(a, reg)) continue;
-      const int d = producer(reg);
-      if (d < 0 || ops[static_cast<size_t>(d)].kind != Op::Kind::kAffine) {
-        continue;
-      }
-      Op fused = std::move(ops[static_cast<size_t>(d)]);
-      fused.kind = Op::Kind::kAffineAdd;
-      fused.in2 = slot == 0 ? ops[i].in2 : ops[i].in;
-      fused.fused_swap = slot == 1;
-      fused.out = ops[i].out;
-      ops[i] = std::move(fused);
-      dead[static_cast<size_t>(d)] = true;
-      break;
-    }
-  }
-
-  // Drop dead producers and renumber registers densely in first-def order.
-  std::vector<Op> kept;
-  kept.reserve(ops.size());
-  for (size_t i = 0; i < ops.size(); ++i) {
-    if (!dead[i]) kept.push_back(std::move(ops[i]));
-  }
-  std::vector<int> remap(static_cast<size_t>(num_regs), -1);
-  remap[0] = 0;
-  int next = 1;
-  for (Op& op : kept) {
-    TTSNN_CHECK(remap[static_cast<size_t>(op.in)] >= 0,
-                "infer fuse: operand register lost in compaction");
-    op.in = remap[static_cast<size_t>(op.in)];
-    if (op.in2 >= 0) {
-      TTSNN_CHECK(remap[static_cast<size_t>(op.in2)] >= 0,
-                  "infer fuse: operand register lost in compaction");
-      op.in2 = remap[static_cast<size_t>(op.in2)];
-    }
-    remap[static_cast<size_t>(op.out)] = next;
-    op.out = next++;
-  }
-  TTSNN_CHECK(remap[static_cast<size_t>(result_reg)] >= 0,
-              "infer fuse: result register lost in compaction");
-  result_reg = remap[static_cast<size_t>(result_reg)];
-  num_regs = next;
-  ops = std::move(kept);
-}
-
 // ---- weight quantization pass ----------------------------------------------
 
 /// True when register `reg` provably holds binary {0,1} spikes: its defining
-/// op is a LIF step (standalone or fused epilogue), possibly viewed through
-/// kFlatten. Register 0 (the raw encoded input) and every arithmetic output
-/// (pools, affines, TT pipelines) are not binary, so int8 consumers of those
-/// registers fall back to f32.
+/// op is a LIF step, possibly viewed through kFlatten. Register 0 (the raw
+/// encoded input) and every arithmetic output (pools, affines, TT pipelines)
+/// are not binary, so int8 consumers of those registers fall back to f32.
 bool provably_binary(const std::vector<Op>& ops, const std::vector<int>& def_op,
                      int reg) {
   while (true) {
@@ -420,9 +316,6 @@ bool provably_binary(const std::vector<Op>& ops, const std::vector<int>& def_op,
     const Op& op = ops[static_cast<size_t>(d)];
     switch (op.kind) {
       case Op::Kind::kLif:
-      case Op::Kind::kConvLif:
-      case Op::Kind::kAffineLif:
-      case Op::Kind::kAddLif:
         return true;
       case Op::Kind::kFlatten:
         reg = op.in;
@@ -434,11 +327,11 @@ bool provably_binary(const std::vector<Op>& ops, const std::vector<int>& def_op,
 }
 
 /// Rewrites eligible weight matrices to typed planes per the requested dtype.
-/// Runs after BN folding and elementwise fusion, so the scales are calibrated
-/// on the BN-folded weights (the checkpoint's running stats are already
-/// multiplied in) and the census maps 1:1 onto the final op list. Every op
-/// that keeps f32 records why in quant_note. Biases, BN vectors and the
-/// exact-mode TT cores always stay f32.
+/// Runs after BN folding, so the scales are calibrated on the BN-folded
+/// weights (the checkpoint's running stats are already multiplied in) and
+/// the census maps 1:1 onto the final op list. Every op that keeps f32
+/// records why in quant_note. Biases, BN vectors and the exact-mode TT cores
+/// always stay f32.
 void quantize_weights(std::vector<Op>& ops, int num_regs, WeightDtype dtype) {
   std::vector<int> def_op(static_cast<size_t>(num_regs), -1);
   for (size_t i = 0; i < ops.size(); ++i) {
@@ -451,7 +344,6 @@ void quantize_weights(std::vector<Op>& ops, int num_regs, WeightDtype dtype) {
   for (Op& op : ops) {
     switch (op.kind) {
       case Op::Kind::kConv:
-      case Op::Kind::kConvLif:
       case Op::Kind::kLinear: {
         if (dtype == WeightDtype::kInt8 && !provably_binary(ops, def_op, op.in)) {
           op.quant_note = "f32 (input not provably binary spikes)";
@@ -523,9 +415,8 @@ WeightFootprint unique_weight_bytes(const std::vector<Op>& ops) {
 
 Engine compile(const Module& root, const CompileOptions& opts) {
   Builder b{.opts = opts};
-  int result = lower(root, 0, b);
+  const int result = lower(root, 0, b);
   TTSNN_CHECK(!b.ops.empty(), "infer::compile: module tree lowered to no ops");
-  if (opts.fuse_elementwise) fuse_elementwise(b.ops, b.num_regs, result);
   if (opts.weight_dtype != WeightDtype::kF32) {
     quantize_weights(b.ops, b.num_regs, opts.weight_dtype);
   }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <optional>
 #include <sstream>
 
 #include "infer/analysis.h"
@@ -18,91 +17,47 @@ namespace ttsnn::infer {
 
 namespace {
 
-/// Memory provider behind every op kernel. The kernels below are written
-/// once against this interface; the two executors differ ONLY in where the
-/// returned tensors live. LegacyCtx allocates (the reference path, unchanged
-/// behavior); PlannedCtx hands out views of the packed workspace at the
-/// offsets the memory planner assigned. Kernel arithmetic — every gemm /
-/// simd call, argument for argument, in the same order — is shared, which is
-/// what makes the planned executor bit-identical to the legacy one.
+/// Executor memory for ONE op, every region at a place the memory planner
+/// assigned: the output is a pre-computed destination (workspace view,
+/// in-place alias of the input, or the owning result tensor), temps/raw bump
+/// through the plan's scratch region, col is the plan's fixed column block.
+/// The bump cursor is checked against this op's own budget
+/// (OpExec::scratch_floats, from op_scratch_floats()) — any drift between the
+/// analysis enumeration and the kernels is a hard error, not a corruption.
 struct ExecCtx {
-  /// The op's output tensor (register `out`).
-  virtual Tensor out(const Shape& s) = 0;
-  /// An op-internal temporary (merged-HTT gather planes and split outputs).
-  virtual Tensor temp(const Shape& s) = 0;
-  /// The im2col column matrix, reused by every conv lowering in the plan.
-  virtual float* col(int64_t elems) = 0;
-  /// Raw float scratch (the LIF membrane plane, the exact TT op's lane
-  /// slots, quantized-weight buffers).
-  virtual float* raw(int64_t elems) = 0;
-
-  /// Compiled per-op record (set on the planned path): pre-resolved HTT
-  /// schedule split, so kernels skip per-call schedule walks. Null on the
-  /// legacy path, where kernels derive everything from the tensors.
-  const OpExec* exec = nullptr;
-
- protected:
-  ~ExecCtx() = default;
-};
-
-/// Reference executor memory: a fresh tensor per output/temp, a grow-only
-/// buffer for the column matrix, and one live allocation per raw() call —
-/// an op may hold several raw regions at once (LIF membrane plus a bf16
-/// dequant buffer), so they must never alias or move under each other.
-struct LegacyCtx final : ExecCtx {
-  std::vector<float> col_buf;
-  std::vector<std::vector<float>> raw_bufs;
-
-  Tensor out(const Shape& s) override { return Tensor::empty(s); }
-  Tensor temp(const Shape& s) override { return Tensor::empty(s); }
-  float* col(int64_t elems) override {
-    if (static_cast<int64_t>(col_buf.size()) < elems) {
-      col_buf.resize(static_cast<size_t>(elems));
-    }
-    return col_buf.data();
-  }
-  float* raw(int64_t elems) override {
-    raw_bufs.emplace_back(static_cast<size_t>(elems));
-    return raw_bufs.back().data();
-  }
-  /// Drops this op's raw scratch between ops, keeping the reference path's
-  /// peak at the widest single op rather than the whole plan.
-  void end_op() { raw_bufs.clear(); }
-};
-
-/// Planned executor memory for ONE op: the output is a pre-computed
-/// destination (workspace view, in-place alias of the input, or the owning
-/// result tensor), temps/raw bump through the plan's scratch region, col is
-/// the plan's fixed column block. The bump cursor is checked against this
-/// op's own budget (OpExec::scratch_floats, from op_scratch_floats()) — any
-/// drift between the analysis enumeration and the kernels is a hard error,
-/// not a corruption.
-struct PlannedCtx final : ExecCtx {
   const MemoryPlan* plan = nullptr;
   Tensor* ws = nullptr;
+  /// Compiled per-op record: the scratch budget and the pre-resolved HTT
+  /// schedule split, so kernels skip per-call schedule walks.
+  const OpExec* exec = nullptr;
   Tensor dest;
   size_t op_index = 0;
   int64_t cursor = 0;
 
-  Tensor out(const Shape& s) override {
+  /// The op's output tensor (register `out`).
+  Tensor out(const Shape& s) {
     TTSNN_CHECK(dest.defined() && s == dest.shape(),
                 "infer: planned shape drift at op " << op_index << ": kernel "
                     << "produced " << shape_str(s) << ", plan says "
                     << shape_str(dest.shape()));
     return dest;
   }
-  Tensor temp(const Shape& s) override {
+  /// An op-internal temporary (merged-HTT gather planes and split outputs).
+  Tensor temp(const Shape& s) {
     const int64_t n = shape_numel(s);
     Tensor t = ws->view(plan->scratch_offset + cursor, s);
     bump(n);
     return t;
   }
-  float* col(int64_t elems) override {
+  /// The im2col column matrix, reused by every conv lowering in the plan.
+  float* col(int64_t elems) {
     TTSNN_CHECK(elems <= plan->col_floats,
                 "infer: planned col overrun at op " << op_index);
     return ws->data() + plan->col_offset;
   }
-  float* raw(int64_t elems) override {
+  /// Raw float scratch (the LIF membrane plane, the exact TT op's lane
+  /// slots, quantized-weight buffers).
+  float* raw(int64_t elems) {
     float* p = ws->data() + plan->scratch_offset + cursor;
     bump(elems);
     return p;
@@ -203,26 +158,13 @@ Tensor run_conv(const Tensor& x, const Tensor& weight, const WeightPlane& plane,
   return out;
 }
 
-/// HTT schedule split for one execution: the compiled program's pre-resolved
-/// index lists when this is a planned run, else (legacy path) a fresh split
-/// via the shared split_htt_schedule — the same function program compilation
-/// uses, so the two paths can never disagree.
-struct ScheduleSplit {
-  const std::vector<int64_t>* full = nullptr;
-  const std::vector<int64_t>* half = nullptr;
-  std::vector<int64_t> full_local, half_local;
-
-  ScheduleSplit(const Op& op, int64_t t_steps, const ExecCtx& ctx) {
-    if (ctx.exec != nullptr && ctx.exec->has_schedule) {
-      full = &ctx.exec->full_idx;
-      half = &ctx.exec->half_idx;
-      return;
-    }
-    split_htt_schedule(op.tt, t_steps, full_local, half_local);
-    full = &full_local;
-    half = &half_local;
-  }
-};
+/// The HTT schedule split the compiled program resolved for this op at this
+/// input's T (plan_cache.cpp's split_htt_schedule).
+const OpExec& htt_split(const ExecCtx& ctx) {
+  TTSNN_CHECK(ctx.exec->has_schedule,
+              "infer HTT: no schedule split compiled for op " << ctx.op_index);
+  return *ctx.exec;
+}
 
 /// gather_steps into a ctx temp; undefined tensor for an empty index list
 /// (matching gather_steps), so the scratch budget only charges non-empty
@@ -281,7 +223,7 @@ struct TTCore {
 /// its input slice and writing its output slice directly, with the rank-r
 /// intermediates in a lane slot small enough to stay in cache. Samples fan
 /// out over the shared pool as sample_lanes() decides; all slots are carved
-/// from ctx here, on the calling thread, because the planned bump cursor is
+/// from ctx here, on the calling thread, because the scratch bump cursor is
 /// not thread-safe, and chunk `begin / grain` owns slot `begin / grain`.
 /// Every gemm keeps run_conv's per-sample arguments and the branch add is
 /// elementwise, so the result is bit-identical to eval TTConv2d::forward.
@@ -294,10 +236,9 @@ Tensor run_tt_exact(const Op& op, const Tensor& x, ExecCtx& ctx) {
   const TTMode mode = op.tt.mode;
   const bool htt = mode == TTMode::kHTT;
   TTSNN_CHECK(!htt || x.dim() == 5, "infer HTT expects [T, N, C, H, W]");
-  std::optional<ScheduleSplit> split;
-  if (htt) split.emplace(op, x.size(0), ctx);
-  const bool any_full = !htt || !split->full->empty();
-  const bool any_half = htt && !split->half->empty();
+  const OpExec* split = htt ? &htt_split(ctx) : nullptr;
+  const bool any_full = !htt || !split->full_idx.empty();
+  const bool any_half = htt && !split->half_idx.empty();
   TTSNN_CHECK(any_full || any_half, "infer HTT: empty schedule");
 
   const TTCore c1(op.w1, op.tt_w1_opts, x.size(-2), x.size(-1));
@@ -358,8 +299,8 @@ Tensor run_tt_exact(const Op& op, const Tensor& x, ExecCtx& ctx) {
             c2.run(o1, cb, a);
             c3.run(a, cb, b);
             c4.run(b, cb, y);
-          } else if (htt && !std::binary_search(split->full->begin(),
-                                                split->full->end(),
+          } else if (htt && !std::binary_search(split->full_idx.begin(),
+                                                split->full_idx.end(),
                                                 s / batch)) {
             c4_half.run(o1, cb, y);
           } else {
@@ -379,9 +320,9 @@ Tensor run_tt_exact(const Op& op, const Tensor& x, ExecCtx& ctx) {
 /// stride s, so all steps agree on the output shape.
 Tensor run_tt_htt_merged(const Op& op, const Tensor& x, ExecCtx& ctx) {
   TTSNN_CHECK(x.dim() == 5, "infer HTT expects [T, N, C, H, W]");
-  ScheduleSplit split(op, x.size(0), ctx);
-  Tensor full_x = gather_steps_ctx(x, *split.full, ctx);
-  Tensor half_x = gather_steps_ctx(x, *split.half, ctx);
+  const OpExec& split = htt_split(ctx);
+  Tensor full_x = gather_steps_ctx(x, split.full_idx, ctx);
+  Tensor half_x = gather_steps_ctx(x, split.half_idx, ctx);
   Tensor y_full, y_half;
   if (full_x.defined()) {
     y_full = run_conv(full_x, op.full_kernel, op.plane, op.conv, op.bias, ctx,
@@ -395,8 +336,8 @@ Tensor run_tt_htt_merged(const Op& op, const Tensor& x, ExecCtx& ctx) {
   Shape out_shape = (y_full.defined() ? y_full : y_half).shape();
   out_shape[0] = x.size(0);
   Tensor out = ctx.out(out_shape);  // scatter covers every step
-  if (y_full.defined()) scatter_steps(out, y_full, *split.full);
-  if (y_half.defined()) scatter_steps(out, y_half, *split.half);
+  if (y_full.defined()) scatter_steps(out, y_full, split.full_idx);
+  if (y_half.defined()) scatter_steps(out, y_half, split.half_idx);
   return out;
 }
 
@@ -404,7 +345,7 @@ Tensor run_tt_htt_merged(const Op& op, const Tensor& x, ExecCtx& ctx) {
 /// an affine per (timestep, channel) — the arithmetic matches BatchNorm's
 /// eval forward expression-for-expression for bit identity. simd::affine
 /// reads each element before writing the same position, so the output may
-/// alias the input (the planned executor's in-place path).
+/// alias the input (the in-place path).
 Tensor run_affine(const Op& op, const Tensor& x, ExecCtx& ctx) {
   TTSNN_CHECK(x.dim() == 5, "infer affine expects [T, N, C, H, W], got "
                                 << shape_str(x.shape()));
@@ -550,7 +491,7 @@ Tensor run_linear(const Op& op, const Tensor& x, ExecCtx& ctx) {
 
 /// Residual join: copy + axpy, the same kernel sequence as ops.h add()
 /// (clone then axpy_), so the bits agree. When the destination aliases x
-/// (the planned in-place path) the copy is skipped.
+/// (the in-place path) the copy is skipped.
 Tensor run_add(const Tensor& x, const Tensor& x2, ExecCtx& ctx) {
   TTSNN_CHECK(x.same_shape(x2), "elementwise shape mismatch "
                                     << shape_str(x.shape()) << " vs "
@@ -560,204 +501,6 @@ Tensor run_add(const Tensor& x, const Tensor& x2, ExecCtx& ctx) {
     std::copy(x.data(), x.data() + x.numel(), out.data());
   }
   out.axpy_(1.0F, x2);
-  return out;
-}
-
-/// Fused conv + LIF epilogue. Each folded-batch tile b = t*N + n is lowered
-/// and multiplied exactly as run_conv (same im2col, same gemm arguments), but
-/// the LIF step — with the conv bias folded into its membrane input — runs in
-/// place on the tile straight after its gemm, while it is still cache-hot.
-/// The tile loop ascends t-major, which IS the membrane recurrence order, and
-/// lif_step_eval reads each element before writing the spike over it, so the
-/// pre-activation never reaches a second buffer.
-Tensor run_conv_lif(const Op& op, const Tensor& x, ExecCtx& ctx) {
-  const Conv2d::Options& opts = op.conv;
-  TTSNN_CHECK(x.dim() == 5, "infer conv+lif expects [T, N, C, H, W], got "
-                                << shape_str(x.shape()));
-  TTSNN_CHECK(x.size(2) == opts.in_channels,
-              "infer conv+lif: channel mismatch, expected "
-                  << opts.in_channels << " in " << shape_str(x.shape()));
-  const ConvGeometry g = conv_geometry(opts, x.size(3), x.size(4));
-  const int64_t oh = g.out_h();
-  const int64_t ow = g.out_w();
-  TTSNN_CHECK(oh > 0 && ow > 0,
-              "infer conv+lif: output would be empty for input "
-                  << shape_str(x.shape()));
-  const int64_t t_steps = x.size(0);
-  const int64_t n = x.size(1);
-  Tensor out = ctx.out({t_steps, n, opts.out_channels, oh, ow});
-  const bool pointwise = g.pointwise();
-  float* col = pointwise ? nullptr : ctx.col(g.col_rows() * g.col_cols());
-  const int64_t in_stride = opts.in_channels * g.in_h * g.in_w;
-  const int64_t out_stride = opts.out_channels * oh * ow;
-  float* u_post = ctx.raw(n * out_stride);
-  std::fill(u_post, u_post + n * out_stride, 0.0F);
-  // Typed-plane resolution after the membrane buffer, matching the scratch
-  // term order of op_footprint's kConvLif case.
-  const float* wf = nullptr;
-  uint8_t* su8 = nullptr;
-  if (!op.plane.quantized()) {
-    wf = op.weight.data();
-  } else if (op.plane.dtype() == WeightDtype::kBf16) {
-    float* wbuf = ctx.raw(op.plane.numel());
-    simd::dequant_bf16(op.plane.numel(), op.plane.bf16_data(), wbuf);
-    wf = wbuf;
-  } else {
-    su8 = reinterpret_cast<uint8_t*>(
-        ctx.raw((g.col_rows() * g.col_cols() + 3) / 4));
-  }
-  const int64_t hw = oh * ow;
-  const float tau = op.lif.tau;
-  const float v_th = op.lif.v_th;
-  const bool zero_reset = op.lif.reset == ResetMode::kZero;
-  for (int64_t b = 0; b < t_steps * n; ++b) {
-    const float* lowered;
-    if (pointwise) {
-      lowered = x.data() + b * in_stride;
-    } else {
-      im2col(x.data() + b * in_stride, g, col);
-      lowered = col;
-    }
-    float* tile = out.data() + b * out_stride;
-    if (su8 != nullptr) {
-      simd::spikes_to_u8_t(g.col_rows(), g.col_cols(), lowered, su8);
-      simd::gemm_s8_wxs(opts.out_channels, g.col_cols(), g.col_rows(),
-                        op.plane.int8_data(), su8, op.plane.scales().data(),
-                        tile);
-    } else {
-      gemm(false, false, opts.out_channels, g.col_cols(), g.col_rows(), 1.0F,
-           wf, lowered, 0.0F, tile);
-    }
-    float* u = u_post + (b % n) * out_stride;
-    if (op.bias.defined()) {
-      // Per channel plane, so the scalar bias folds into the membrane input
-      // with the exact expression of the unfused bias pass.
-      const float* bb = op.bias.data();
-      for (int64_t c = 0; c < opts.out_channels; ++c) {
-        simd::lif_step_eval_bias(hw, tau, v_th, zero_reset, bb[c],
-                                 tile + c * hw, u + c * hw, tile + c * hw);
-      }
-    } else {
-      simd::lif_step_eval(out_stride, tau, v_th, zero_reset, tile, u, tile);
-    }
-  }
-  return out;
-}
-
-/// Fused inference-BN affine + LIF step. Same ch / t / b loop nest as
-/// run_affine; each (ch, b) plane sees t ascending — the membrane recurrence
-/// order. affine_lif_step reads x before writing the spike at the same
-/// position, so the output may alias the input (the in-place path).
-Tensor run_affine_lif(const Op& op, const Tensor& x, ExecCtx& ctx) {
-  TTSNN_CHECK(x.dim() == 5, "infer affine+lif expects [T, N, C, H, W], got "
-                                << shape_str(x.shape()));
-  const int64_t t_steps = x.size(0);
-  const int64_t n = x.size(1);
-  const int64_t c = x.size(2);
-  const int64_t hw = x.size(3) * x.size(4);
-  TTSNN_CHECK(c == op.bn_gamma.numel(),
-              "infer affine+lif channel mismatch: " << c);
-  const bool tebn = op.bn_mode == BatchNorm::Mode::kTebn;
-  if (tebn) {
-    TTSNN_CHECK(t_steps == op.bn_timesteps,
-                "infer affine+lif: TEBN configured for T="
-                    << op.bn_timesteps << ", got " << t_steps);
-  }
-  Tensor out = ctx.out(x.shape());
-  float* u_post = ctx.raw(x.numel() / t_steps);
-  std::fill(u_post, u_post + x.numel() / t_steps, 0.0F);
-  const float tau = op.lif.tau;
-  const float v_th = op.lif.v_th;
-  const bool zero_reset = op.lif.reset == ResetMode::kZero;
-  const float* in = x.data();
-  float* y = out.data();
-  const float* g_gamma = op.bn_gamma.data();
-  const float* g_beta = op.bn_beta.data();
-  const float* g_mean = op.bn_mean.data();
-  const float* g_inv_std = op.bn_inv_std.data();
-  for (int64_t ch = 0; ch < c; ++ch) {
-    const float inv_std = g_inv_std[ch];
-    const float mu = g_mean[ch];
-    for (int64_t t = 0; t < t_steps; ++t) {
-      const float step = tebn ? op.bn_step_scale[t] : 1.0F;
-      const float eff = g_gamma[ch] * op.bn_alpha_vth * step;
-      for (int64_t b = 0; b < n; ++b) {
-        const int64_t base = (((t * n + b) * c) + ch) * hw;
-        simd::affine_lif_step(hw, mu, inv_std, eff, g_beta[ch], tau, v_th,
-                              zero_reset, in + base,
-                              u_post + (b * c + ch) * hw, y + base);
-      }
-    }
-  }
-  return out;
-}
-
-/// Fused residual join + LIF step: one pass per timestep, u = tau * u_post +
-/// (x + 1*x2). The output may alias x (never x2 — the analysis keeps in2's
-/// storage group separate from the in-place group).
-Tensor run_add_lif(const Op& op, const Tensor& x, const Tensor& x2,
-                   ExecCtx& ctx) {
-  TTSNN_CHECK(x.same_shape(x2), "elementwise shape mismatch "
-                                    << shape_str(x.shape()) << " vs "
-                                    << shape_str(x2.shape()));
-  TTSNN_CHECK(x.dim() >= 2,
-              "infer add+lif expects [T, N, ...], got " << shape_str(x.shape()));
-  Tensor out = ctx.out(x.shape());
-  const int64_t t_steps = x.size(0);
-  const int64_t m = x.numel() / t_steps;
-  float* u_post = ctx.raw(m);
-  std::fill(u_post, u_post + m, 0.0F);
-  for (int64_t t = 0; t < t_steps; ++t) {
-    simd::add_lif_step(m, op.lif.tau, op.lif.v_th,
-                       op.lif.reset == ResetMode::kZero, x.data() + t * m,
-                       x2.data() + t * m, u_post, out.data() + t * m);
-  }
-  return out;
-}
-
-/// Fused inference-BN affine + residual join: x is the affine's input, x2 the
-/// other add operand, op.fused_swap the original operand order. The output
-/// may alias x (never x2).
-Tensor run_affine_add(const Op& op, const Tensor& x, const Tensor& x2,
-                      ExecCtx& ctx) {
-  TTSNN_CHECK(x.dim() == 5, "infer affine+add expects [T, N, C, H, W], got "
-                                << shape_str(x.shape()));
-  TTSNN_CHECK(x.same_shape(x2), "elementwise shape mismatch "
-                                    << shape_str(x.shape()) << " vs "
-                                    << shape_str(x2.shape()));
-  const int64_t t_steps = x.size(0);
-  const int64_t n = x.size(1);
-  const int64_t c = x.size(2);
-  const int64_t hw = x.size(3) * x.size(4);
-  TTSNN_CHECK(c == op.bn_gamma.numel(),
-              "infer affine+add channel mismatch: " << c);
-  const bool tebn = op.bn_mode == BatchNorm::Mode::kTebn;
-  if (tebn) {
-    TTSNN_CHECK(t_steps == op.bn_timesteps,
-                "infer affine+add: TEBN configured for T="
-                    << op.bn_timesteps << ", got " << t_steps);
-  }
-  Tensor out = ctx.out(x.shape());
-  const float* in = x.data();
-  const float* other = x2.data();
-  float* y = out.data();
-  const float* g_gamma = op.bn_gamma.data();
-  const float* g_beta = op.bn_beta.data();
-  const float* g_mean = op.bn_mean.data();
-  const float* g_inv_std = op.bn_inv_std.data();
-  for (int64_t ch = 0; ch < c; ++ch) {
-    const float inv_std = g_inv_std[ch];
-    const float mu = g_mean[ch];
-    for (int64_t t = 0; t < t_steps; ++t) {
-      const float step = tebn ? op.bn_step_scale[t] : 1.0F;
-      const float eff = g_gamma[ch] * op.bn_alpha_vth * step;
-      for (int64_t b = 0; b < n; ++b) {
-        const int64_t base = (((t * n + b) * c) + ch) * hw;
-        simd::affine_add(hw, mu, inv_std, eff, g_beta[ch], op.fused_swap,
-                         in + base, other + base, y + base);
-      }
-    }
-  }
   return out;
 }
 
@@ -783,14 +526,6 @@ Tensor exec_op(const Op& op, const Tensor& x, const Tensor& x2, ExecCtx& ctx) {
       return run_linear(op, x, ctx);
     case Op::Kind::kAdd:
       return run_add(x, x2, ctx);
-    case Op::Kind::kConvLif:
-      return run_conv_lif(op, x, ctx);
-    case Op::Kind::kAffineLif:
-      return run_affine_lif(op, x, ctx);
-    case Op::Kind::kAddLif:
-      return run_add_lif(op, x, x2, ctx);
-    case Op::Kind::kAffineAdd:
-      return run_affine_add(op, x, x2, ctx);
   }
   TTSNN_CHECK(false, "unreachable");
   return {};
@@ -820,29 +555,13 @@ const char* op_kind_name(Op::Kind k) {
       return "linear";
     case Op::Kind::kAdd:
       return "add";
-    case Op::Kind::kConvLif:
-      return "conv+lif";
-    case Op::Kind::kAffineLif:
-      return "affine+lif";
-    case Op::Kind::kAddLif:
-      return "add+lif";
-    case Op::Kind::kAffineAdd:
-      return "affine+add";
   }
   return "?";
 }
 
 Tensor Engine::run(const Tensor& x) const {
-  TTSNN_FAILPOINT("engine.run");
-  if (!opts_.static_plan) return run_legacy(x);
   Tensor workspace;
-  return run_planned(x, workspace);
-}
-
-Tensor Engine::run(const Tensor& x, Tensor& workspace) const {
-  TTSNN_FAILPOINT("engine.run");
-  if (!opts_.static_plan) return run_legacy(x);
-  return run_planned(x, workspace);
+  return run(x, workspace);
 }
 
 std::shared_ptr<const CompiledProgram> Engine::program(
@@ -870,34 +589,8 @@ Shape Engine::input_signature() const {
   return analysis_->sym_shape[0];
 }
 
-Tensor Engine::run_legacy(const Tensor& x) const {
-  TTSNN_CHECK(!ops_.empty(), "infer::Engine::run on an empty plan");
-  TTSNN_CHECK(x.dim() == 5, "infer::Engine::run expects [T, N, C, H, W], got "
-                                << shape_str(x.shape()));
-  LegacyCtx ctx;
-  std::vector<Tensor> regs(static_cast<size_t>(num_regs_));
-  regs[0] = x;
-  for (size_t i = 0; i < ops_.size(); ++i) {
-    const Op& op = ops_[i];
-    const Tensor& a = regs[static_cast<size_t>(op.in)];
-    static const Tensor kNone;
-    const Tensor& b = op.in2 >= 0 ? regs[static_cast<size_t>(op.in2)] : kNone;
-    TTSNN_CHECK(a.defined(), "infer: op " << i << " reads an undefined register");
-    Tensor y = exec_op(op, a, b, ctx);
-    ctx.end_op();
-    // Eagerly release registers whose last reader just ran, so peak memory is
-    // the widest live set (e.g. a residual input), not the whole history.
-    for (int r : {op.in, op.in2}) {
-      if (r >= 0 && last_use_[static_cast<size_t>(r)] == static_cast<int>(i)) {
-        regs[static_cast<size_t>(r)] = Tensor();
-      }
-    }
-    regs[static_cast<size_t>(op.out)] = std::move(y);
-  }
-  return regs[static_cast<size_t>(result_reg_)];
-}
-
-Tensor Engine::run_planned(const Tensor& x, Tensor& workspace) const {
+Tensor Engine::run(const Tensor& x, Tensor& workspace) const {
+  TTSNN_FAILPOINT("engine.run");
   TTSNN_CHECK(!ops_.empty(), "infer::Engine::run on an empty plan");
   TTSNN_CHECK(x.dim() == 5, "infer::Engine::run expects [T, N, C, H, W], got "
                                 << shape_str(x.shape()));
@@ -931,7 +624,7 @@ Tensor Engine::run_planned(const Tensor& x, Tensor& workspace) const {
       regs[out] = std::move(y);
       continue;
     }
-    PlannedCtx ctx;
+    ExecCtx ctx;
     ctx.plan = plan;
     ctx.ws = &workspace;
     ctx.op_index = i;
@@ -957,7 +650,6 @@ Tensor Engine::run_planned(const Tensor& x, Tensor& workspace) const {
 void Engine::seal() {
   analysis_ = std::make_shared<const PlanAnalysis>(
       analyze_plan(ops_, num_regs_, result_reg_));
-  last_use_ = analysis_->last_use;
   programs_ = std::make_shared<ProgramCache>(opts_.plan_cache_bytes);
 }
 
@@ -985,44 +677,6 @@ std::string Engine::summary() const {
     }
     oss << "\n";
   }
-  // Always printed (even at 0) so ttsnn_plan_lint can assert fusion happened.
-  int fused_total = 0;
-  int fused_counts[4] = {0, 0, 0, 0};
-  for (const Op& op : ops_) {
-    switch (op.kind) {
-      case Op::Kind::kConvLif:
-        ++fused_counts[0];
-        ++fused_total;
-        break;
-      case Op::Kind::kAffineLif:
-        ++fused_counts[1];
-        ++fused_total;
-        break;
-      case Op::Kind::kAddLif:
-        ++fused_counts[2];
-        ++fused_total;
-        break;
-      case Op::Kind::kAffineAdd:
-        ++fused_counts[3];
-        ++fused_total;
-        break;
-      default:
-        break;
-    }
-  }
-  oss << "fused ops: " << fused_total;
-  if (fused_total > 0) {
-    static const char* const kFusedNames[4] = {"conv+lif", "affine+lif",
-                                               "add+lif", "affine+add"};
-    const char* sep = " (";
-    for (int k = 0; k < 4; ++k) {
-      if (fused_counts[k] == 0) continue;
-      oss << sep << kFusedNames[k] << " x" << fused_counts[k];
-      sep = ", ";
-    }
-    oss << ")";
-  }
-  oss << "\n";
   // Quantization census: which weight-bearing ops the pass lowered to the
   // requested dtype and which fell back (and why). Only printed for plans
   // actually compiled with a narrow dtype — f32 plans keep today's summary.

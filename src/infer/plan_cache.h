@@ -95,8 +95,8 @@ struct ProgramCacheStats {
 };
 
 /// Splits [0, t_steps) into full/half step index lists per the HTT schedule
-/// (non-HTT or an empty schedule runs every step full). Shared by program
-/// compilation and the legacy executor so the two can never disagree.
+/// (non-HTT or an empty schedule runs every step full). Program compilation
+/// stores the result in OpExec, so the executor never re-splits per call.
 void split_htt_schedule(const TTConv2d::Options& tt, int64_t t_steps,
                         std::vector<int64_t>& full_idx,
                         std::vector<int64_t>& half_idx);

@@ -6,12 +6,11 @@
 /// work stealing) and a reliability layer (request deadlines + cancellation,
 /// replica health quarantine with probe re-admission).
 ///
-/// The PR-2 Server coalesced every request into ONE FIFO queue and popped a
-/// same-shaped *prefix*, so a single odd-shaped request at the front
-/// head-of-line-blocked every other shape group: mixed-scenario traffic
-/// (image / event / gesture clips with different [T, C, H, W]) degraded to
-/// batches of one, each paying the full `max_delay_ms` stall. The Router
-/// fixes that structurally:
+/// A single FIFO queue that pops a same-shaped *prefix* lets one odd-shaped
+/// request at the front head-of-line-block every other shape group:
+/// mixed-scenario traffic (image / event / gesture clips with different
+/// [T, C, H, W]) degrades to batches of one, each paying the full
+/// `max_delay_ms` stall. The Router avoids that structurally:
 ///
 ///   submit(x, {session, priority, deadline_ms})
 ///        │  validate against Engine::input_signature()
@@ -60,8 +59,8 @@
 ///    `router.dispatch` and `router.dispatch.<replica>` failpoints, so the
 ///    whole quarantine/re-admission machine is testable deterministically.
 ///
-/// Server (server.h) remains as a thin `num_shards = 1` compatibility
-/// wrapper over this class.
+/// A single-queue micro-batching server is a Router with `num_shards = 1`
+/// (work stealing then has nowhere to steal from).
 
 #include <array>
 #include <atomic>

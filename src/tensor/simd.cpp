@@ -184,65 +184,6 @@ void lif_step_train(int64_t m, float tau, float v_th, bool zero_reset,
   }
 }
 
-void lif_step_eval_bias(int64_t m, float tau, float v_th, bool zero_reset,
-                        float bias, const float* in, float* u_post,
-                        float* s_out) {
-  if (use_avx2()) {
-    return avx2::lif_step_eval_bias(m, tau, v_th, zero_reset, bias, in, u_post,
-                                    s_out);
-  }
-  for (int64_t i = 0; i < m; ++i) {
-    const float v = in[i] + bias;
-    const float u = tau * u_post[i] + v;
-    const float s = u >= v_th ? 1.0F : 0.0F;
-    s_out[i] = s;
-    u_post[i] = zero_reset ? u * (1.0F - s) : u - v_th * s;
-  }
-}
-
-void affine_lif_step(int64_t n, float mu, float inv_std, float eff, float beta,
-                     float tau, float v_th, bool zero_reset, const float* x,
-                     float* u_post, float* s_out) {
-  if (use_avx2()) {
-    return avx2::affine_lif_step(n, mu, inv_std, eff, beta, tau, v_th,
-                                 zero_reset, x, u_post, s_out);
-  }
-  for (int64_t i = 0; i < n; ++i) {
-    const float v = (x[i] - mu) * inv_std;
-    const float a = eff * v + beta;
-    const float u = tau * u_post[i] + a;
-    const float s = u >= v_th ? 1.0F : 0.0F;
-    s_out[i] = s;
-    u_post[i] = zero_reset ? u * (1.0F - s) : u - v_th * s;
-  }
-}
-
-void add_lif_step(int64_t m, float tau, float v_th, bool zero_reset,
-                  const float* a, const float* b, float* u_post, float* s_out) {
-  if (use_avx2()) {
-    return avx2::add_lif_step(m, tau, v_th, zero_reset, a, b, u_post, s_out);
-  }
-  for (int64_t i = 0; i < m; ++i) {
-    const float v = a[i] + 1.0F * b[i];
-    const float u = tau * u_post[i] + v;
-    const float s = u >= v_th ? 1.0F : 0.0F;
-    s_out[i] = s;
-    u_post[i] = zero_reset ? u * (1.0F - s) : u - v_th * s;
-  }
-}
-
-void affine_add(int64_t n, float mu, float inv_std, float eff, float beta,
-                bool swap, const float* x, const float* other, float* y) {
-  if (use_avx2()) {
-    return avx2::affine_add(n, mu, inv_std, eff, beta, swap, x, other, y);
-  }
-  for (int64_t i = 0; i < n; ++i) {
-    const float v = (x[i] - mu) * inv_std;
-    const float a = eff * v + beta;
-    y[i] = swap ? other[i] + 1.0F * a : a + 1.0F * other[i];
-  }
-}
-
 void adam_step(int64_t n, float lr, float beta1, float beta2, float bc1,
                float bc2, float eps, float decay, const float* g, float* m,
                float* v, float* w) {

@@ -86,39 +86,6 @@ void lif_step_eval(int64_t m, float tau, float v_th, bool zero_reset,
 void lif_step_train(int64_t m, float tau, float v_th, bool zero_reset,
                     const float* in, float* u_post, float* u_out, float* s_out);
 
-// ---- fused inference epilogues ---------------------------------------------
-// Single-pass kernels for the plan-IR fusion pass (infer/compile.cpp): the
-// producer's elementwise math feeds the LIF membrane (or the residual add)
-// without the intermediate ever reaching memory. Each expression is copied
-// verbatim from the unfused kernel pair it replaces — same operand order,
-// separate mul and add — so fused and unfused plans are bitwise identical on
-// both tiers.
-
-/// lif_step_eval with the conv-bias add folded in: u = tau * u_post + v where
-/// v = in + bias, exactly the unfused per-channel bias pass followed by
-/// lif_step_eval. s_out may alias in.
-void lif_step_eval_bias(int64_t m, float tau, float v_th, bool zero_reset,
-                        float bias, const float* in, float* u_post,
-                        float* s_out);
-/// BatchNorm eval affine feeding one LIF timestep over a channel plane:
-/// a = eff * ((x - mu) * inv_std) + beta, then the lif_step_eval update on a.
-/// s_out may alias x.
-void affine_lif_step(int64_t n, float mu, float inv_std, float eff, float beta,
-                     float tau, float v_th, bool zero_reset, const float* x,
-                     float* u_post, float* s_out);
-/// Residual add feeding one LIF timestep: u = tau * u_post + (a + 1*b),
-/// matching the unfused copy + axpy(1, b) then lif_step_eval. s_out may alias
-/// a, never b.
-void add_lif_step(int64_t m, float tau, float v_th, bool zero_reset,
-                  const float* a, const float* b, float* u_post, float* s_out);
-/// BatchNorm eval affine feeding a residual add over a channel plane:
-/// v = eff * ((x - mu) * inv_std) + beta, then y = swap ? other + 1*v
-/// : v + 1*other — `swap` records which add operand the affine produced, so
-/// the axpy operand order (and therefore the bits) match the unfused plan.
-/// y may alias x, never other.
-void affine_add(int64_t n, float mu, float inv_std, float eff, float beta,
-                bool swap, const float* x, const float* other, float* y);
-
 /// Fused Adam update for one parameter block; bc1/bc2 are the bias-correction
 /// denominators 1 - beta^t.
 void adam_step(int64_t n, float lr, float beta1, float beta2, float bc1,

@@ -226,118 +226,6 @@ void lif_step_train(int64_t m, float tau, float v_th, bool zero_reset,
   }
 }
 
-namespace {
-
-/// Spike + reset tail of every LIF-family kernel: s = (u >= v_th), then the
-/// reset update — the exact vector sequence of lif_step_eval.
-inline void lif_fire(__m256 u, __m256 vth, __m256 one, bool zero_reset,
-                     float* u_post, float* s_out) {
-  const __m256 mask = _mm256_cmp_ps(u, vth, _CMP_GE_OQ);
-  const __m256 s = _mm256_and_ps(mask, one);
-  _mm256_storeu_ps(s_out, s);
-  const __m256 reset = zero_reset
-                           ? _mm256_mul_ps(u, _mm256_sub_ps(one, s))
-                           : _mm256_sub_ps(u, _mm256_mul_ps(vth, s));
-  _mm256_storeu_ps(u_post, reset);
-}
-
-}  // namespace
-
-void lif_step_eval_bias(int64_t m, float tau, float v_th, bool zero_reset,
-                        float bias, const float* in, float* u_post,
-                        float* s_out) {
-  const __m256 vtau = _mm256_set1_ps(tau);
-  const __m256 vth = _mm256_set1_ps(v_th);
-  const __m256 one = _mm256_set1_ps(1.0F);
-  const __m256 vbias = _mm256_set1_ps(bias);
-  int64_t i = 0;
-  for (; i + 8 <= m; i += 8) {
-    const __m256 v = _mm256_add_ps(_mm256_loadu_ps(in + i), vbias);
-    const __m256 u = lif_membrane(vtau, _mm256_loadu_ps(u_post + i), v);
-    lif_fire(u, vth, one, zero_reset, u_post + i, s_out + i);
-  }
-  for (; i < m; ++i) {
-    const float v = in[i] + bias;
-    const float u = tau * u_post[i] + v;
-    const float s = u >= v_th ? 1.0F : 0.0F;
-    s_out[i] = s;
-    u_post[i] = zero_reset ? u * (1.0F - s) : u - v_th * s;
-  }
-}
-
-void affine_lif_step(int64_t n, float mu, float inv_std, float eff, float beta,
-                     float tau, float v_th, bool zero_reset, const float* x,
-                     float* u_post, float* s_out) {
-  const __m256 vmu = _mm256_set1_ps(mu);
-  const __m256 vs = _mm256_set1_ps(inv_std);
-  const __m256 ve = _mm256_set1_ps(eff);
-  const __m256 vb = _mm256_set1_ps(beta);
-  const __m256 vtau = _mm256_set1_ps(tau);
-  const __m256 vth = _mm256_set1_ps(v_th);
-  const __m256 one = _mm256_set1_ps(1.0F);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 v =
-        _mm256_mul_ps(_mm256_sub_ps(_mm256_loadu_ps(x + i), vmu), vs);
-    const __m256 a = _mm256_add_ps(_mm256_mul_ps(ve, v), vb);
-    const __m256 u = lif_membrane(vtau, _mm256_loadu_ps(u_post + i), a);
-    lif_fire(u, vth, one, zero_reset, u_post + i, s_out + i);
-  }
-  for (; i < n; ++i) {
-    const float v = (x[i] - mu) * inv_std;
-    const float a = eff * v + beta;
-    const float u = tau * u_post[i] + a;
-    const float s = u >= v_th ? 1.0F : 0.0F;
-    s_out[i] = s;
-    u_post[i] = zero_reset ? u * (1.0F - s) : u - v_th * s;
-  }
-}
-
-void add_lif_step(int64_t m, float tau, float v_th, bool zero_reset,
-                  const float* a, const float* b, float* u_post, float* s_out) {
-  const __m256 vtau = _mm256_set1_ps(tau);
-  const __m256 vth = _mm256_set1_ps(v_th);
-  const __m256 one = _mm256_set1_ps(1.0F);
-  int64_t i = 0;
-  for (; i + 8 <= m; i += 8) {
-    const __m256 v = _mm256_add_ps(_mm256_loadu_ps(a + i),
-                                   _mm256_mul_ps(one, _mm256_loadu_ps(b + i)));
-    const __m256 u = lif_membrane(vtau, _mm256_loadu_ps(u_post + i), v);
-    lif_fire(u, vth, one, zero_reset, u_post + i, s_out + i);
-  }
-  for (; i < m; ++i) {
-    const float v = a[i] + 1.0F * b[i];
-    const float u = tau * u_post[i] + v;
-    const float s = u >= v_th ? 1.0F : 0.0F;
-    s_out[i] = s;
-    u_post[i] = zero_reset ? u * (1.0F - s) : u - v_th * s;
-  }
-}
-
-void affine_add(int64_t n, float mu, float inv_std, float eff, float beta,
-                bool swap, const float* x, const float* other, float* y) {
-  const __m256 vmu = _mm256_set1_ps(mu);
-  const __m256 vs = _mm256_set1_ps(inv_std);
-  const __m256 ve = _mm256_set1_ps(eff);
-  const __m256 vb = _mm256_set1_ps(beta);
-  const __m256 one = _mm256_set1_ps(1.0F);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 v =
-        _mm256_mul_ps(_mm256_sub_ps(_mm256_loadu_ps(x + i), vmu), vs);
-    const __m256 a = _mm256_add_ps(_mm256_mul_ps(ve, v), vb);
-    const __m256 o = _mm256_loadu_ps(other + i);
-    const __m256 r = swap ? _mm256_add_ps(o, _mm256_mul_ps(one, a))
-                          : _mm256_add_ps(a, _mm256_mul_ps(one, o));
-    _mm256_storeu_ps(y + i, r);
-  }
-  for (; i < n; ++i) {
-    const float v = (x[i] - mu) * inv_std;
-    const float a = eff * v + beta;
-    y[i] = swap ? other[i] + 1.0F * a : a + 1.0F * other[i];
-  }
-}
-
 void adam_step(int64_t n, float lr, float beta1, float beta2, float bc1,
                float bc2, float eps, float decay, const float* g, float* m,
                float* v, float* w) {
@@ -645,14 +533,6 @@ void lif_backward_step(int64_t, int, float, float, float, bool, bool,
 void lif_step_eval(int64_t, float, float, bool, const float*, float*, float*) {}
 void lif_step_train(int64_t, float, float, bool, const float*, float*, float*,
                     float*) {}
-void lif_step_eval_bias(int64_t, float, float, bool, float, const float*,
-                        float*, float*) {}
-void affine_lif_step(int64_t, float, float, float, float, float, float, bool,
-                     const float*, float*, float*) {}
-void add_lif_step(int64_t, float, float, bool, const float*, const float*,
-                  float*, float*) {}
-void affine_add(int64_t, float, float, float, float, bool, const float*,
-                const float*, float*) {}
 void adam_step(int64_t, float, float, float, float, float, float, float,
                const float*, float*, float*, float*) {}
 void sgd_step(int64_t, float, float, float, const float*, float*, float*) {}

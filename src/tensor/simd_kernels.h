@@ -25,16 +25,6 @@ void lif_step_eval(int64_t m, float tau, float v_th, bool zero_reset,
                    const float* in, float* u_post, float* s_out);
 void lif_step_train(int64_t m, float tau, float v_th, bool zero_reset,
                     const float* in, float* u_post, float* u_out, float* s_out);
-void lif_step_eval_bias(int64_t m, float tau, float v_th, bool zero_reset,
-                        float bias, const float* in, float* u_post,
-                        float* s_out);
-void affine_lif_step(int64_t n, float mu, float inv_std, float eff, float beta,
-                     float tau, float v_th, bool zero_reset, const float* x,
-                     float* u_post, float* s_out);
-void add_lif_step(int64_t m, float tau, float v_th, bool zero_reset,
-                  const float* a, const float* b, float* u_post, float* s_out);
-void affine_add(int64_t n, float mu, float inv_std, float eff, float beta,
-                bool swap, const float* x, const float* other, float* y);
 void adam_step(int64_t n, float lr, float beta1, float beta2, float bc1,
                float bc2, float eps, float decay, const float* g, float* m,
                float* v, float* w);

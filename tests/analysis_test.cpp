@@ -2,12 +2,14 @@
 // (infer/analysis.h): the verifier must reject hand-built malformed plans
 // with a diagnostic naming the offending op; the liveness/alias pass must
 // mark kFlatten views and in-place-safe ops; the memory planner must catch
-// concrete-shape geometry errors before any kernel runs; and — the hard
-// acceptance bar — the statically planned executor must be bit-identical to
-// the legacy per-register executor in every TT mode, with exactly one
-// allocation per call once a caller reuses its workspace.
+// concrete-shape geometry errors before any kernel runs; and the planner
+// oracle: no two storage groups live at the same op share a workspace float,
+// a run into a NaN-poisoned reused workspace is bitwise equal to a fresh
+// one, the exact plan is bit-identical to eval Module::forward in every TT
+// mode, and a caller reusing its workspace pays one allocation per call.
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -254,9 +256,7 @@ TEST(PlanAnalysisTest, MarksLifInPlaceWhenItsInputDies) {
   net.emplace<Conv2d>(Conv2d::Options{.in_channels = 4, .out_channels = 4},
                       rng);
   net.set_training(false);
-  // Fusion off: this test pins the UNFUSED alias/in-place facts (with fusion
-  // the conv+lif pair collapses into one kConvLif op).
-  infer::Engine engine = infer::compile(net, {.fuse_elementwise = false});
+  infer::Engine engine = infer::compile(net);
   ASSERT_EQ(engine.num_ops(), 3U);
   const infer::PlanAnalysis& an = engine.analysis();
   EXPECT_FALSE(an.is_inplace[0]);  // conv is never in-place
@@ -264,87 +264,6 @@ TEST(PlanAnalysisTest, MarksLifInPlaceWhenItsInputDies) {
   // In-place output shares its input's storage group, so the group's
   // workspace region is charged once.
   EXPECT_EQ(an.root[2], an.root[1]);
-}
-
-// ---- fusion pass -------------------------------------------------------------
-
-TEST(FusionAnalysisTest, FusionCandidateRequiresASingleReader) {
-  std::vector<Op> ops;
-  ops.push_back(conv_op(0, 1, 3, 4));
-  ops.push_back(conv_op(1, 2, 4, 4));
-  ops.push_back(conv_op(2, 3, 4, 4));
-  {
-    const infer::PlanAnalysis an = infer::analyze_plan(ops, 4, 3);
-    EXPECT_TRUE(infer::fusion_candidate(an, 1));   // read once, not result
-    EXPECT_TRUE(infer::fusion_candidate(an, 2));
-    EXPECT_FALSE(infer::fusion_candidate(an, 3));  // the result never fuses
-  }
-  // A residual join reading r1 through BOTH slots makes it a two-reader
-  // register — never a fusion candidate.
-  Op add;
-  add.kind = Op::Kind::kAdd;
-  add.in = 1;
-  add.in2 = 1;
-  add.out = 2;
-  std::vector<Op> ops2;
-  ops2.push_back(conv_op(0, 1, 3, 4));
-  ops2.push_back(add);
-  const infer::PlanAnalysis an = infer::analyze_plan(ops2, 3, 2);
-  EXPECT_EQ(an.reads[1], 2);
-  EXPECT_FALSE(infer::fusion_candidate(an, 1));
-}
-
-TEST(FusionAnalysisTest, ConvLifChainCollapsesToOneOp) {
-  Rng rng(41);
-  Sequential net;
-  net.emplace<Conv2d>(Conv2d::Options{.in_channels = 3, .out_channels = 4},
-                      rng);
-  net.emplace<LIFNeuron>();
-  net.emplace<Conv2d>(Conv2d::Options{.in_channels = 4, .out_channels = 4},
-                      rng);
-  net.set_training(false);
-  infer::Engine engine = infer::compile(net);
-  ASSERT_EQ(engine.num_ops(), 2U);
-  EXPECT_EQ(engine.ops()[0].kind, Op::Kind::kConvLif);
-  EXPECT_EQ(engine.ops()[1].kind, Op::Kind::kConv);
-  // Register numbering stays dense after the dead producer is compacted out.
-  EXPECT_EQ(engine.num_regs(), 3);
-  EXPECT_EQ(engine.ops()[0].out, 1);
-  EXPECT_EQ(engine.ops()[1].in, 1);
-  // The summary advertises the fusion for plan-lint consumers.
-  EXPECT_NE(engine.summary().find("fused ops: 1 (conv+lif x1)"),
-            std::string::npos)
-      << engine.summary();
-}
-
-TEST(FusionAnalysisTest, FusedPlansVerifyAndStayBitIdentical) {
-  // Randomized sweep (replayable via TTSNN_TEST_SEED / bounded via
-  // TTSNN_FUZZ_ITERS): every generated model must compile under the verifier
-  // with fusion on AND off, never emit fused kinds when the pass is off, and
-  // the two engines must agree bit-for-bit.
-  const uint64_t base = testgen::suite_seed(0xa11a5);
-  const int iters = testgen::seed_pinned() ? 1 : testgen::iteration_budget(6);
-  for (int i = 0; i < iters; ++i) {
-    const uint64_t seed = base + static_cast<uint64_t>(i);
-    SCOPED_TRACE(testgen::seed_line(seed));
-    const testgen::GeneratedModel gm = testgen::random_model(seed);
-    SCOPED_TRACE(gm.desc);
-    infer::Engine fused = infer::compile(*gm.net);
-    infer::Engine plain = infer::compile(*gm.net, {.fuse_elementwise = false});
-    for (const Op& op : plain.ops()) {
-      EXPECT_TRUE(op.kind != Op::Kind::kConvLif &&
-                  op.kind != Op::Kind::kAffineLif &&
-                  op.kind != Op::Kind::kAddLif &&
-                  op.kind != Op::Kind::kAffineAdd)
-          << plain.summary();
-    }
-    EXPECT_LE(fused.num_ops(), plain.num_ops());
-    Rng rng(seed ^ 0x5eed);
-    Tensor x = Tensor::uniform(gm.input, rng);
-    EXPECT_EQ(max_abs_diff(fused.run(x), plain.run(x)), 0.0)
-        << fused.summary();
-    if (::testing::Test::HasFailure()) return;
-  }
 }
 
 TEST(PlanAnalysisTest, LiveRangesMatchTheDataflow) {
@@ -359,12 +278,117 @@ TEST(PlanAnalysisTest, LiveRangesMatchTheDataflow) {
   EXPECT_EQ(an.live[1].last_use, 1);
   EXPECT_EQ(an.live[3].def, 2);
   EXPECT_EQ(an.live[3].last_use, -1);  // the result is read by the caller
-  // Derived eager-release table: same semantics the legacy executor uses.
-  EXPECT_EQ(an.last_use[1], 1);
-  EXPECT_EQ(an.last_use[3], std::numeric_limits<int>::max());
 }
 
-// ---- planned executor: bit identity + allocation behavior ------------------
+// ---- planner oracle ---------------------------------------------------------
+// Eval Module::forward is the reference for every lowering's arithmetic; what
+// the executor adds on top of the shared kernels is where each buffer lives.
+// These checks pin that placement directly.
+
+/// Workspace extent and live interval of one storage group.
+struct GroupSpan {
+  int64_t off = -1;
+  int64_t size = 0;
+  int start = std::numeric_limits<int>::max();
+  int end = std::numeric_limits<int>::min();
+};
+
+bool overlaps(int64_t a_off, int64_t a_size, int64_t b_off, int64_t b_size) {
+  return a_size > 0 && b_size > 0 && a_off < b_off + b_size &&
+         b_off < a_off + a_size;
+}
+
+/// The layout property, re-derived from the analysis and the plan rather
+/// than from the planner's bookkeeping: two storage groups live at the same
+/// op never share a workspace float, no register region overlaps the col or
+/// scratch region (nor do those two overlap), and everything fits inside
+/// total_floats.
+void expect_layout_sound(const infer::Engine& engine, const Shape& input) {
+  SCOPED_TRACE("layout at " + shape_str(input));
+  const infer::PlanAnalysis& an = engine.analysis();
+  const auto plan = engine.memory_plan(input);
+  const size_t n = static_cast<size_t>(an.num_regs);
+  std::vector<GroupSpan> groups(n);
+  for (size_t r = 1; r < n; ++r) {
+    const size_t g = static_cast<size_t>(an.root[r]);
+    if (static_cast<int>(r) == an.result_reg || g == 0) {
+      // The owning result tensor and views of the caller's input live
+      // outside the workspace.
+      EXPECT_EQ(plan->offset[r], -1) << "r" << r;
+      continue;
+    }
+    EXPECT_EQ(plan->offset[r], plan->offset[g]) << "r" << r
+                                                << " left its group";
+    GroupSpan& s = groups[g];
+    s.off = plan->offset[g];
+    s.size = std::max(s.size, plan->floats[r]);
+    s.start = std::min(s.start, an.live[r].def);
+    s.end = std::max(s.end, an.live[r].last_use);
+  }
+  EXPECT_FALSE(overlaps(plan->col_offset, plan->col_floats,
+                        plan->scratch_offset, plan->scratch_floats));
+  EXPECT_LE(plan->col_offset + plan->col_floats, plan->total_floats);
+  EXPECT_LE(plan->scratch_offset + plan->scratch_floats, plan->total_floats);
+  for (size_t a = 1; a < n; ++a) {
+    const GroupSpan& x = groups[a];
+    if (x.off < 0) continue;
+    EXPECT_LE(x.off + x.size, plan->total_floats) << "group r" << a;
+    EXPECT_FALSE(overlaps(x.off, x.size, plan->col_offset, plan->col_floats))
+        << "group r" << a << " overlaps the col region";
+    EXPECT_FALSE(overlaps(x.off, x.size, plan->scratch_offset,
+                          plan->scratch_floats))
+        << "group r" << a << " overlaps the scratch region";
+    for (size_t b = a + 1; b < n; ++b) {
+      const GroupSpan& y = groups[b];
+      if (y.off < 0 || x.end < y.start || y.end < x.start) continue;
+      EXPECT_FALSE(overlaps(x.off, x.size, y.off, y.size))
+          << "groups r" << a << " [" << x.start << ", " << x.end << "] and r"
+          << b << " [" << y.start << ", " << y.end
+          << "] are live at the same op and share workspace floats";
+    }
+  }
+}
+
+/// Runs `x` into a fresh workspace and into a reused one pre-filled with
+/// NaN: any kernel reading a float it did not write in this call would leak
+/// NaN (or stale data) into the result, so the two must be bitwise equal.
+void expect_poison_proof(const infer::Engine& engine, const Tensor& x) {
+  SCOPED_TRACE("poisoned workspace at " + shape_str(x.shape()));
+  const Tensor fresh = engine.run(x);
+  Tensor ws = Tensor::full({engine.memory_plan(x.shape())->total_floats},
+                           std::numeric_limits<float>::quiet_NaN());
+  const Tensor poisoned = engine.run(x, ws);
+  ASSERT_EQ(poisoned.shape(), fresh.shape());
+  EXPECT_EQ(std::memcmp(poisoned.data(), fresh.data(),
+                        static_cast<size_t>(fresh.numel()) * sizeof(float)),
+            0);
+}
+
+TEST(PlannerOracleTest, RandomPlansLayoutSoundAndPoisonProof) {
+  // Seeded sweep (TTSNN_TEST_SEED / TTSNN_FUZZ_ITERS): merged and exact
+  // lowerings of random models, each at the generated shape and at a wider
+  // batch, so two cached programs per plan are checked.
+  const uint64_t base = testgen::suite_seed(0x1a40e7);
+  const int iters = testgen::seed_pinned() ? 1 : testgen::iteration_budget(24);
+  for (int i = 0; i < iters; ++i) {
+    const uint64_t seed = base + static_cast<uint64_t>(i);
+    SCOPED_TRACE(testgen::seed_line(seed));
+    const testgen::GeneratedModel gm = testgen::random_model(seed);
+    SCOPED_TRACE(gm.desc);
+    Shape wide = gm.input;
+    wide[1] += 3;
+    for (const bool merge : {true, false}) {
+      const infer::Engine engine = infer::compile(
+          *gm.net, {.merge_tt = merge, .fold_batchnorm = merge});
+      for (const Shape& s : {gm.input, wide}) {
+        expect_layout_sound(engine, s);
+        Rng rng(seed ^ 0x5eed);
+        expect_poison_proof(engine, Tensor::uniform(s, rng));
+      }
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
+}
 
 // The hand-rolled "trained model" fixture this suite used to carry moved to
 // the shared tests/model_gen.h (testgen::trained_resnet18), which the fuzz
@@ -372,26 +396,44 @@ TEST(PlanAnalysisTest, LiveRangesMatchTheDataflow) {
 
 class PlannedModeTest : public ::testing::TestWithParam<TTMode> {};
 
-TEST_P(PlannedModeTest, PlannedRunBitIdenticalToLegacyExecutor) {
+const Shape kOracleShapes[] = {{4, 2, 3, 8, 8}, {4, 1, 3, 12, 12}};
+
+TEST_P(PlannedModeTest, ExactPlanBitIdenticalToEvalForward) {
   Rng rng(42);
   ModulePtr net = testgen::trained_resnet18(GetParam(), rng);
-  for (const bool merge : {true, false}) {
-    infer::Engine planned = infer::compile(
-        *net,
-        {.merge_tt = merge, .fold_batchnorm = merge, .static_plan = true});
-    infer::Engine legacy = infer::compile(
-        *net,
-        {.merge_tt = merge, .fold_batchnorm = merge, .static_plan = false});
-    // Two shapes through the same engine: the plan cache must lay out (and
-    // execute) each one correctly.
-    for (const Shape& s : {Shape{4, 2, 3, 8, 8}, Shape{4, 1, 3, 12, 12}}) {
-      Tensor x = Tensor::uniform(s, rng);
-      Tensor want = legacy.run(x);
-      Tensor got = planned.run(x);
-      ASSERT_EQ(got.shape(), want.shape());
-      EXPECT_EQ(max_abs_diff(got, want), 0.0)
-          << tt_mode_name(GetParam()) << " merge=" << merge << " "
-          << shape_str(s);
+  const infer::Engine exact =
+      infer::compile(*net, {.merge_tt = false, .fold_batchnorm = false});
+  // Two shapes through the same engine: the plan cache must lay out (and
+  // execute) each one correctly.
+  for (const Shape& s : kOracleShapes) {
+    Tensor x = Tensor::uniform(s, rng);
+    Tensor want = net->forward(x);
+    net->clear_cache();
+    Tensor got = exact.run(x);
+    ASSERT_EQ(got.shape(), want.shape());
+    EXPECT_EQ(max_abs_diff(got, want), 0.0)
+        << tt_mode_name(GetParam()) << " " << shape_str(s);
+  }
+}
+
+// Merged and exact f32 plans, plus the bf16/int8 plans whose kernels carve
+// dequant buffers and u8 spike tiles from plan scratch.
+TEST_P(PlannedModeTest, LayoutSoundAndPoisonedWorkspaceRunBitIdentical) {
+  Rng rng(42);
+  ModulePtr net = testgen::trained_resnet18(GetParam(), rng);
+  const infer::CompileOptions configs[] = {
+      {},
+      {.merge_tt = false, .fold_batchnorm = false},
+      {.weight_dtype = WeightDtype::kBf16},
+      {.weight_dtype = WeightDtype::kInt8},
+  };
+  for (const infer::CompileOptions& opts : configs) {
+    SCOPED_TRACE(std::string(opts.merge_tt ? "merged " : "exact ") +
+                 weight_dtype_name(opts.weight_dtype));
+    const infer::Engine engine = infer::compile(*net, opts);
+    for (const Shape& s : kOracleShapes) {
+      expect_layout_sound(engine, s);
+      expect_poison_proof(engine, Tensor::uniform(s, rng));
     }
   }
 }
@@ -467,8 +509,8 @@ TEST(PlannedRunTest, PlanPacksBelowTheUnplannedFootprint) {
   const Shape s{4, 2, 3, 8, 8};
   const auto plan = engine.memory_plan(s);
   EXPECT_GT(plan->total_floats, 0);
-  // Liveness-aware packing must beat allocate-everything (the legacy
-  // executor's total traffic) on any multi-layer plan.
+  // Liveness-aware packing must beat one buffer per op output on any
+  // multi-layer plan.
   EXPECT_LT(plan->total_floats, plan->unplanned_floats);
   // The report renders and carries the totals.
   const std::string report = engine.summary(s);

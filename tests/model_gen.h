@@ -158,7 +158,7 @@ inline GeneratedModel random_model(uint64_t seed) {
     const int64_t stride = (h >= 8 && rng.bernoulli(0.3F)) ? 2 : 1;
     if (residual) {
       // MS-ResNet basic block: pre-activation body, membrane shortcut (the
-      // residual sum is on post-BN values, which is what kAffineAdd fuses).
+      // residual sum is on post-BN values).
       auto body = std::make_unique<Sequential>();
       body->emplace<LIFNeuron>(lif);
       body->emplace<Conv2d>(Conv2d::Options{.in_channels = c,

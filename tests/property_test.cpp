@@ -3,6 +3,7 @@
 // equivalence across the full (mode x stride x kernel x rank) grid, and
 // dataset invariants over their option spaces.
 
+#include <string>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -230,8 +231,7 @@ TEST(GeneratedModelProperties, CompileInvariantsHoldForAnySample) {
     const testgen::GeneratedModel gm = testgen::random_model(seed);
     SCOPED_TRACE(gm.desc);
 
-    // The exact lowering reproduces eval Module::forward bit-for-bit (with
-    // the fusion pass on — its default).
+    // The exact lowering reproduces eval Module::forward bit-for-bit.
     Rng rng(seed ^ 0xfaceu);
     Tensor x = Tensor::uniform(gm.input, rng);
     Tensor want = gm.net->forward(x);
@@ -241,13 +241,18 @@ TEST(GeneratedModelProperties, CompileInvariantsHoldForAnySample) {
     EXPECT_EQ(max_abs_diff(exact.run(x), want), 0.0) << exact.summary();
 
     // The default engine pins the channel count in its input signature and
-    // always reports a fused-op line for plan-lint consumers.
+    // its summary lists every op before the plan-cache line.
     infer::Engine engine = infer::compile(*gm.net);
     EXPECT_EQ(engine.input_signature()[2], gm.input[2]);
-    EXPECT_NE(engine.summary().find("fused ops:"), std::string::npos);
+    const std::string summary = engine.summary();
+    const size_t last_op =
+        summary.find(std::to_string(engine.num_ops() - 1) + ": ");
+    EXPECT_NE(last_op, std::string::npos) << summary;
+    EXPECT_LT(last_op, summary.find("plan cache:")) << summary;
 
-    // Register numbering stays dense after fusion compaction: every operand
-    // register is written (or the input), every output is in range.
+    // One op per lowered module, each writing one fresh register (r0 is the
+    // input), and every operand register in range.
+    EXPECT_EQ(engine.num_regs(), static_cast<int>(engine.num_ops()) + 1);
     for (const infer::Op& op : engine.ops()) {
       EXPECT_GE(op.in, 0);
       EXPECT_LT(op.out, engine.num_regs());

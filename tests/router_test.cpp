@@ -24,7 +24,6 @@
 #include "core/models.h"
 #include "infer/engine.h"
 #include "infer/router.h"
-#include "infer/server.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "util/failpoint.h"
@@ -122,6 +121,52 @@ TEST(RouterTest, RoutedOutputsBitIdenticalToDirectEngineRuns) {
   infer::RouterStats stats = router.stats();
   EXPECT_EQ(stats.requests, 18);
   EXPECT_GE(stats.batches, 3);  // three shape groups can never share a batch
+}
+
+// A single-shard router with two dispatchers (the micro-batching server
+// configuration): coalesced outputs still match per-request engine runs.
+TEST(RouterTest, SingleShardTwoDispatchersMatchPerRequestEngineRuns) {
+  const infer::Engine& engine = test_engine();
+  infer::Router router(engine, {.num_shards = 1, .max_batch = 4,
+                                .max_delay_ms = 5.0,
+                                .dispatchers_per_shard = 2});
+
+  Rng rng(19);
+  constexpr int kRequests = 8;
+  std::vector<Tensor> samples;
+  std::vector<std::future<Tensor>> futures;
+  for (int i = 0; i < kRequests; ++i) {
+    samples.push_back(Tensor::uniform({4, 3, 8, 8}, rng));
+    futures.push_back(router.submit(samples.back()));
+  }
+  for (int i = 0; i < kRequests; ++i) {
+    Tensor got = futures[static_cast<size_t>(i)].get();
+    Tensor want =
+        engine.run(samples[static_cast<size_t>(i)].reshape({4, 1, 3, 8, 8}));
+    Tensor want_flat = want.reshape({want.size(0), -1});
+    Tensor got_flat = got.reshape({got.size(0), -1});
+    ASSERT_EQ(got_flat.shape(), want_flat.shape());
+    EXPECT_EQ(max_abs_diff(got_flat, want_flat), 0.0) << "request " << i;
+  }
+  infer::RouterStats stats = router.stats();
+  EXPECT_EQ(stats.requests, kRequests);
+  EXPECT_GE(stats.batches, 1);
+}
+
+// Mixed spatial sizes are legal (same-padded convs take any H x W): one
+// shard must partition them into same-shaped batches, not mix them.
+TEST(RouterTest, SingleShardPartitionsMixedShapesIntoSeparateBatches) {
+  const infer::Engine& engine = test_engine();
+  infer::Router router(engine, {.num_shards = 1, .max_batch = 4,
+                                .max_delay_ms = 50.0 * kTimeScale});
+
+  Rng rng(23);
+  std::future<Tensor> small = router.submit(Tensor::uniform({4, 3, 8, 8}, rng));
+  std::future<Tensor> large =
+      router.submit(Tensor::uniform({4, 3, 12, 12}, rng));
+  EXPECT_EQ(small.get().size(0), 4);
+  EXPECT_EQ(large.get().size(0), 4);
+  EXPECT_GE(router.stats().batches, 2);
 }
 
 // Regression for the stacking divide-by-zero: a [0, C, H, W] (or any
